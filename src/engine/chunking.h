@@ -1,23 +1,19 @@
-// Degree-weighted chunk scheduling shared by the two execution backends.
+// Degree-weighted chunk scheduling for FrontierEngine supersteps.
 //
-// FrontierEngine (vertex-frontier traversal) and la::LaEngine (masked
-// SpMV/SpMSpV) cut their per-superstep work into the SAME chunks and merge
-// per-chunk partial results in the SAME ascending order, because both call
-// the helpers in this header. That shared machinery is what makes the two
-// backends bit-identical by construction: a superstep touches the same
-// logical edges in the same order and folds floating-point partials in the
-// same reduction order no matter which engine executes it, at any thread
-// count, with stealing on or off. The cross-backend differential fuzz
-// harness (tests/backend_parity_harness.h) asserts exactly that.
+// Chunk boundaries depend only on frontier content (never on the thread
+// count), and per-chunk partial results merge in ascending chunk order, so
+// a superstep touches the same logical edges in the same order and folds
+// floating-point partials in the same reduction order at any thread count,
+// with stealing on or off.
 //
 // Three chunk-boundary policies:
 //   * fixed_bounds      — O(1)-work items (slot scans, list filters).
 //   * frontier_bounds   — degree-weighted cuts of an explicit slot list
-//                         (push supersteps / SpMSpV: one hub must not ride
-//                         with thousands of leaves in a single chunk).
+//                         (push supersteps: one hub must not ride with
+//                         thousands of leaves in a single chunk).
 //   * slot_space_bounds — degree-weighted cuts of the whole slot space
-//                         (pull supersteps / masked SpMV; CSR row-pointer
-//                         prefixes give boundaries by binary search).
+//                         (pull supersteps; CSR row-pointer prefixes give
+//                         boundaries by binary search).
 //
 // run_chunks executes body(c) for every chunk id and merges partials in
 // ascending chunk order — through ThreadPool::parallel_reduce_stealing

@@ -89,10 +89,6 @@ void record_step(TraversalTelemetry* t, const StepTelemetry& s) {
     fs.stolen_chunks.add(s.stolen);
     fs.step_frontier.observe(s.frontier);
   }
-  record_step_local(t, s);
-}
-
-void record_step_local(TraversalTelemetry* t, const StepTelemetry& s) {
   if (t == nullptr) return;
   std::lock_guard<std::mutex> lock(telemetry_mutex());
   ++t->supersteps;
@@ -224,11 +220,7 @@ void Frontier::swap(Frontier& o) {
 void record_stolen(TraversalTelemetry* t, std::uint64_t stolen) {
   if (stolen == 0) return;
   if (obs::enabled()) frontier_series().stolen_chunks.add(stolen);
-  record_stolen_local(t, stolen);
-}
-
-void record_stolen_local(TraversalTelemetry* t, std::uint64_t stolen) {
-  if (stolen == 0 || t == nullptr) return;
+  if (t == nullptr) return;
   std::lock_guard<std::mutex> lock(telemetry_mutex());
   t->stolen_chunks += stolen;
 }

@@ -63,11 +63,8 @@ const char* to_string(Direction d);
 /// Parses "push" / "pull" / "auto"; returns false on anything else.
 bool parse_direction(std::string_view s, Direction* out);
 
-/// The Beamer m/alpha direction decision, shared by FrontierEngine and the
-/// linear-algebra backend (src/la): pull when the edge mass hanging off
-/// the frontier exceeds total_edge_mass / alpha. One definition means the
-/// two engines flip direction on exactly the same supersteps — the
-/// decision-parity property tests/la_test.cpp asserts.
+/// The Beamer m/alpha direction decision: pull when the edge mass hanging
+/// off the frontier exceeds total_edge_mass / alpha.
 inline bool use_pull_step(Direction direction, std::uint64_t frontier_mass,
                           double alpha, std::uint64_t total_edge_mass) {
   return direction == Direction::kPull ||
@@ -137,18 +134,9 @@ struct TraversalTelemetry {
 /// Thread-safe telemetry append; no-op when t is null.
 void record_step(TraversalTelemetry* t, const StepTelemetry& s);
 
-/// record_step without the frontier.* registry series: the telemetry
-/// struct alone is updated. The LA backend uses this — it records its own
-/// la.* series — so one superstep never double-counts into both families.
-void record_step_local(TraversalTelemetry* t, const StepTelemetry& s);
-
 /// Thread-safe bump of the stolen-chunk counter alone (sweeps and pivot
 /// fan-outs that steal work outside a superstep); no-op when t is null.
 void record_stolen(TraversalTelemetry* t, std::uint64_t stolen);
-
-/// record_stolen without the frontier.* registry series (the LA backend's
-/// row reductions account their steals under la.*).
-void record_stolen_local(TraversalTelemetry* t, std::uint64_t stolen);
 
 /// An active-vertex set over a slot space, held sparse (ascending-merged
 /// slot list), dense (atomic bitmap), or both. Conversions materialize in
@@ -403,9 +391,7 @@ class FrontierEngine {
   static constexpr std::size_t kScanGrain = 4096;  // slots per O(1)-work chunk
 
   // Chunk boundaries and the ascending-merge chunk runner live in
-  // engine/chunking.h, shared with the LA backend — identical chunks and
-  // merge order are the bit-identical-by-construction contract between the
-  // two engines.
+  // engine/chunking.h.
 
   /// Cuts the current list into chunks of ~edge_grain weight; returns the
   /// total frontier edge mass (degrees only, the heuristic input).

@@ -670,6 +670,9 @@ SnapInfo save_snapshot(const GraphSnapshot& s, const std::string& path) {
   std::memcpy(file.data() + snapdetail::kTableOffset, table.data(),
               snapdetail::kTableBytes);
   for (std::uint32_t i = 0; i < kSectionCount; ++i) {
+    // An empty section's data() may be null, which memcpy must not see
+    // even for a zero-byte copy.
+    if (secs[i].empty()) continue;
     std::memcpy(file.data() + table[i].offset, secs[i].data(),
                 secs[i].size());
   }

@@ -279,12 +279,10 @@ CpuTimedRun run_cpu_timed(const workloads::Workload& w,
                           const engine::TraversalOptions& traversal,
                           RefreshMode refresh_mode, const ChurnPhase& churn,
                           const graph::LayoutOptions& layout, Backend backend,
-                          const DiskBackendOptions& disk,
-                          workloads::Engine engine) {
+                          const DiskBackendOptions& disk) {
   graph::PropertyGraph input = make_input_graph(w, bundle);
   workloads::RunContext ctx = make_cpu_context(w, input, bundle);
   ctx.traversal = traversal;
-  ctx.engine = engine;
 
   CpuTimedRun out;
 

@@ -180,10 +180,6 @@ struct CpuTimedRun {
 /// the in-memory snapshot; kDisk serializes it (or reuses the bundle's
 /// DiskGraph / `disk.snapshot_path`) and traverses out-of-core through a
 /// buffer pool sized by `disk`. Backend choice never changes checksums.
-/// `engine` selects the execution backend for the workloads carrying a
-/// linear-algebra formulation (workloads::supports_la); others ignore it.
-/// Engine choice never changes checksums either — the two engines are
-/// bit-identical by construction (engine/chunking.h).
 CpuTimedRun run_cpu_timed(const workloads::Workload& w,
                           const DatasetBundle& bundle, int threads,
                           Representation representation =
@@ -193,9 +189,7 @@ CpuTimedRun run_cpu_timed(const workloads::Workload& w,
                           const ChurnPhase& churn = {},
                           const graph::LayoutOptions& layout = {},
                           Backend backend = Backend::kFrozen,
-                          const DiskBackendOptions& disk = {},
-                          workloads::Engine engine =
-                              workloads::Engine::kFrontier);
+                          const DiskBackendOptions& disk = {});
 
 /// Figure 1: fraction of execution time spent inside framework primitives.
 struct FrameworkTimeRun {

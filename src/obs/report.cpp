@@ -58,7 +58,6 @@ void RunReport::write_json(std::ostream& os,
   w.kv("threads", threads);
   w.kv("representation", representation);
   w.kv("backend", backend.empty() ? representation : backend);
-  w.kv("engine", engine.empty() ? "frontier" : engine);
   w.kv("direction", direction);
   w.kv("steal", stealing);
   w.kv("layout", layout.empty() ? "natural" : layout);

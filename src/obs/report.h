@@ -26,7 +26,6 @@ struct RunReport {
   int threads = 1;
   std::string representation;  // "dynamic" / "frozen"
   std::string backend;         // "dynamic" / "frozen" / "disk"
-  std::string engine = "frontier";  // "frontier" / "la" execution backend
   std::string direction;       // "push" / "pull" / "auto"
   bool stealing = true;
   std::string layout = "natural";  // snapshot vertex order

@@ -1,24 +1,14 @@
 // Breadth-first Search: the most widely used workload of the suite
-// (10 of 21 use cases, Figure 4). Two interchangeable formulations:
-//
-//   * Frontier (engine::FrontierEngine) — level-synchronous frontier
-//     expansion: push supersteps expand out-edges of the frontier, pull
-//     supersteps probe unvisited vertices' in-edges for an active parent
-//     (direction-optimizing BFS), auto mode switches per superstep on
-//     frontier edge mass.
-//
-//   * Linear algebra (la::LaEngine) — the GraphBLAST form: per level,
-//     y = ¬visited .* (xᵀ ⊗ A) over the boolean (lor, land) semiring,
-//     executed as SpMSpV while x is light and masked dense SpMV once it
-//     is heavy. The ⊕ saturates at true, realized by the visited bitmap's
-//     test_and_set (scatter) and the first-hit early exit (gather).
+// (10 of 21 use cases, Figure 4). Level-synchronous frontier expansion
+// (engine::FrontierEngine): push supersteps expand out-edges of the
+// frontier, pull supersteps probe unvisited vertices' in-edges for an
+// active parent (direction-optimizing BFS), auto mode switches per
+// superstep on frontier edge mass.
 //
 // The BFS depth is stored as a vertex property ("program state" in the
 // paper's property-graph model); depth assignments are identical in every
-// direction mode and on either engine, so the checksum is invariant
-// across push/pull/auto, frontier/la, dynamic/frozen/disk, and thread
-// counts.
-#include "la/la_engine.h"
+// direction mode, so the checksum is invariant across push/pull/auto,
+// dynamic/frozen/disk, and thread counts.
 #include "platform/bitset.h"
 #include "trace/access.h"
 #include "workloads/workload.h"
@@ -37,11 +27,6 @@ class BfsWorkload final : public Workload {
   Category category() const override { return Category::kTraversal; }
 
   RunResult run(RunContext& ctx) const override {
-    return ctx.engine == Engine::kLa ? run_la(ctx) : run_frontier(ctx);
-  }
-
- private:
-  RunResult run_frontier(RunContext& ctx) const {
     const graph::GraphView g = ctx.view();
     RunResult result;
 
@@ -106,78 +91,6 @@ class BfsWorkload final : public Workload {
     return result;
   }
 
-  RunResult run_la(RunContext& ctx) const {
-    const graph::GraphView g = ctx.view();
-    RunResult result;
-
-    const graph::SlotIndex root_slot = g.slot_of(ctx.root);
-    if (root_slot == graph::kInvalidSlot) return result;
-
-    // The visited bitmap is both the ⊕-saturation witness and the
-    // structural mask: y's rows must come from ¬visited.
-    platform::AtomicBitset visited(g.slot_count());
-    visited.test_and_set(root_slot);
-    g.set_int(root_slot, props::kDepth, 0);
-
-    la::LaEngine eng(g, ctx.pool, ctx.traversal, ctx.telemetry);
-    eng.seed(root_slot);
-    const la::StructuralMask unreached =
-        la::StructuralMask::complement_of(visited);
-
-    std::int64_t depth = 0;
-    std::uint64_t edges = 0;
-    std::uint64_t vertices = 1;
-    std::uint64_t depth_sum = 0;
-
-    while (!eng.done()) {
-      ++depth;
-
-      // SpMSpV column kernel: expand stored column u of A; the boolean
-      // semiring's saturating ⊕ is the test_and_set (only the first
-      // contribution to a row materializes it).
-      auto scatter = [&](graph::SlotIndex u, engine::StepCtx& sc) {
-        g.for_each_out(u, [&](graph::SlotIndex t, double) {
-          ++sc.edges;
-          const bool first = visited.test_and_set(t);
-          trace::branch(trace::kBranchVisitedCheck, first);
-          if (first) {
-            g.set_int(t, props::kDepth, depth);
-            sc.emit(t);
-          }
-        });
-      };
-      // Masked-SpMV row kernel: the row's dot product over (lor, land)
-      // saturates at the first in-neighbor stored in x.
-      auto gather = [&](graph::SlotIndex v, engine::StepCtx& sc) {
-        bool any = false;
-        g.for_each_in_until(v, [&](graph::SlotIndex u) {
-          ++sc.edges;
-          const bool hit = eng.in_x(u);
-          trace::branch(trace::kBranchVisitedCheck, hit);
-          if (hit) {
-            any = true;
-            return false;
-          }
-          return true;
-        });
-        if (any) {
-          visited.test_and_set(v);
-          g.set_int(v, props::kDepth, depth);
-        }
-        return any;
-      };
-
-      const engine::StepResult r = eng.multiply(scatter, gather, unreached);
-      edges += r.edges;
-      vertices += r.activated;
-      depth_sum += static_cast<std::uint64_t>(depth) * r.activated;
-    }
-
-    result.vertices_processed = vertices;
-    result.edges_processed = edges;
-    result.checksum = vertices * 1000003u + depth_sum;
-    return result;
-  }
 };
 
 }  // namespace

@@ -3,23 +3,18 @@
 // fixed-point computation). Every vertex converges to the minimum vertex id
 // of its component, stored as a label property.
 //
-// Two interchangeable formulations. Frontier (engine::FrontierEngine):
-// push rounds scatter a vertex's label to its neighbors (CAS-min,
-// round-stamped dedup of the next worklist), pull rounds have every vertex
-// gather the minimum label of its active neighbors (plain store — each
-// vertex is written only by its own chunk). Linear algebra (la::LaEngine):
-// per round, y = xᵀ ⊗ A over the (min, first) semiring of la/semiring.h —
-// ⊗ forwards the source's label across the symmetrized edge, ⊕ keeps the
-// minimum — executed as SpMSpV while x is light and masked dense SpMV once
-// it is heavy.
+// Rounds run on engine::FrontierEngine: push rounds scatter a vertex's
+// label to its neighbors (CAS-min, round-stamped dedup of the next
+// worklist), pull rounds have every vertex gather the minimum label of its
+// active neighbors (plain store — each vertex is written only by its own
+// chunk).
 //
 // Label propagation is monotone, so the fixed point — and with it the
 // checksum — is a property of the graph alone: identical for any direction
-// mode, engine, thread count, and graph representation.
+// mode, thread count, and graph representation.
 #include <atomic>
 #include <limits>
 
-#include "la/la_engine.h"
 #include "trace/access.h"
 #include "workloads/workload.h"
 
@@ -101,11 +96,6 @@ class CcompWorkload final : public Workload {
   Category category() const override { return Category::kAnalytics; }
 
   RunResult run(RunContext& ctx) const override {
-    return ctx.engine == Engine::kLa ? run_la(ctx) : run_frontier(ctx);
-  }
-
- private:
-  RunResult run_frontier(RunContext& ctx) const {
     const graph::GraphView g = ctx.view();
     const std::size_t slots = g.slot_count();
     const bool parallel = ctx.pool != nullptr && ctx.pool->num_threads() > 1;
@@ -183,86 +173,6 @@ class CcompWorkload final : public Workload {
     return finalize(g, pool, label, edges);
   }
 
-  RunResult run_la(RunContext& ctx) const {
-    const graph::GraphView g = ctx.view();
-    const bool parallel = ctx.pool != nullptr && ctx.pool->num_threads() > 1;
-    platform::ThreadPool* pool = parallel ? ctx.pool : nullptr;
-
-    std::vector<std::atomic<graph::VertexId>> label(g.slot_count());
-    std::vector<std::atomic<std::uint64_t>> queued(g.slot_count());
-    init_labels(g, pool, &label, &queued);
-
-    engine::TraversalOptions topt = ctx.traversal;
-    topt.undirected = true;  // A is symmetrized: each edge, both directions
-    la::LaEngine eng(g, pool, topt, ctx.telemetry);
-    eng.seed_all_live();  // x starts as the all-live indicator vector
-
-    std::uint64_t round = 0;
-    std::uint64_t edges = 0;
-    while (!eng.done()) {
-      ++round;
-
-      // SpMSpV column kernel over (min, first): column u contributes
-      // label[u] to every neighboring row; ⊕ = min is the CAS loop. The
-      // row that actually improves joins y (round-stamped, once per
-      // round).
-      auto scatter = [&](graph::SlotIndex u, engine::StepCtx& sc) {
-        trace::block(trace::kBlockWorkloadKernel);
-        const graph::VertexId mine = label[u].load(std::memory_order_relaxed);
-        auto accumulate = [&](graph::SlotIndex row) {
-          ++sc.edges;
-          graph::VertexId cur = label[row].load(std::memory_order_relaxed);
-          bool lowered = false;
-          while (mine < cur) {
-            if (label[row].compare_exchange_weak(cur, mine,
-                                                 std::memory_order_relaxed)) {
-              lowered = true;
-              break;
-            }
-          }
-          trace::branch(trace::kBranchVisitedCheck, lowered);
-          if (lowered &&
-              queued[row].exchange(round, std::memory_order_relaxed) !=
-                  round) {
-            sc.emit(row);
-          }
-        };
-        g.for_each_out(u, [&](graph::SlotIndex ts, double) { accumulate(ts); });
-        g.for_each_in(u, [&](graph::SlotIndex ss) { accumulate(ss); });
-      };
-
-      // Masked-SpMV row kernel: the row's dot product over (min, first)
-      // is the minimum label among the row's neighbors stored in x.
-      // Monotonicity makes mid-step reads of concurrently lowered labels
-      // harmless. The row joins y only if the product improves it.
-      auto gather = [&](graph::SlotIndex row, engine::StepCtx& sc) {
-        trace::block(trace::kBlockWorkloadKernel);
-        const graph::VertexId start =
-            label[row].load(std::memory_order_relaxed);
-        graph::VertexId best = start;
-        auto accumulate = [&](graph::SlotIndex u) {
-          ++sc.edges;
-          if (eng.in_x(u)) {
-            const graph::VertexId lu =
-                label[u].load(std::memory_order_relaxed);
-            if (lu < best) best = lu;
-          }
-        };
-        g.for_each_in(row, [&](graph::SlotIndex ss) { accumulate(ss); });
-        g.for_each_out(row,
-                       [&](graph::SlotIndex ts, double) { accumulate(ts); });
-        const bool lowered = best < start;
-        trace::branch(trace::kBranchVisitedCheck, lowered);
-        if (lowered) label[row].store(best, std::memory_order_relaxed);
-        return lowered;
-      };
-
-      // No structural mask: every row is a candidate output every round.
-      edges += eng.multiply(scatter, gather, la::StructuralMask()).edges;
-    }
-
-    return finalize(g, pool, label, edges);
-  }
 };
 
 }  // namespace

@@ -3,14 +3,6 @@
 // primitives. A single streaming pass over the entire graph with almost no
 // reusable metadata -- which is why DCentr posts the highest L3 MPKI of the
 // whole suite (145.9 in Figure 7) and the lowest L1D hit rate in Figure 9.
-//
-// On the linear-algebra engine the same pass is a row reduction over the
-// (+, one) semiring: with x the all-live indicator vector, each stored row
-// reduces its adjacency (both directions) by summing 1 per edge — the
-// degree vector is Aᵀ1 + A1 restricted to live rows. Identical chunks and
-// merge order (engine/chunking.h) make the integer sum — and hence the
-// checksum — engine- and thread-count-invariant.
-#include "la/la_engine.h"
 #include "trace/access.h"
 #include "workloads/workload.h"
 
@@ -28,26 +20,6 @@ class DcentrWorkload final : public Workload {
   Category category() const override { return Category::kSocialAnalysis; }
 
   RunResult run(RunContext& ctx) const override {
-    return ctx.engine == Engine::kLa ? run_la(ctx) : run_frontier(ctx);
-  }
-
- private:
-  // Count by traversal (not by reading the size field): centrality
-  // implementations in property-graph frameworks touch every edge
-  // record to honor edge predicates. The pass streams the whole graph
-  // with almost no arithmetic and no reusable metadata -- the access
-  // pattern behind DCentr's suite-highest MPKI (145.9 in Figure 7).
-  static std::int64_t degree_of(const graph::GraphView& g,
-                                graph::SlotIndex s) {
-    trace::block(trace::kBlockWorkloadKernel);
-    std::int64_t deg = 0;
-    g.for_each_out(s, [&](graph::SlotIndex, double) { ++deg; });
-    g.for_each_in(s, [&](graph::SlotIndex) { ++deg; });
-    g.set_int(s, props::kDegree, deg);
-    return deg;
-  }
-
-  RunResult run_frontier(RunContext& ctx) const {
     const graph::GraphView g = ctx.view();
     RunResult result;
 
@@ -82,37 +54,20 @@ class DcentrWorkload final : public Workload {
     return result;
   }
 
-  RunResult run_la(RunContext& ctx) const {
-    const graph::GraphView g = ctx.view();
-    RunResult result;
-
-    // x := the all-live indicator vector; one (+, one) row reduction over
-    // its stored rows computes the degree vector without advancing x.
-    engine::TraversalOptions topt = ctx.traversal;
-    topt.undirected = true;
-    la::LaEngine eng(g, ctx.pool, topt, ctx.telemetry);
-    eng.seed_all_live();
-
-    struct Tally {
-      std::uint64_t sum = 0;
-      std::uint64_t rows = 0;
-    };
-    const Tally tally = eng.reduce_rows(
-        Tally{},
-        [&](graph::SlotIndex row, Tally& t) {
-          t.sum += static_cast<std::uint64_t>(degree_of(g, row));
-          ++t.rows;
-        },
-        [](Tally a, Tally b) {
-          a.sum += b.sum;
-          a.rows += b.rows;
-          return a;
-        });
-
-    result.vertices_processed = tally.rows;
-    result.edges_processed = tally.sum;
-    result.checksum = tally.sum;
-    return result;
+ private:
+  // Count by traversal (not by reading the size field): centrality
+  // implementations in property-graph frameworks touch every edge
+  // record to honor edge predicates. The pass streams the whole graph
+  // with almost no arithmetic and no reusable metadata -- the access
+  // pattern behind DCentr's suite-highest MPKI (145.9 in Figure 7).
+  static std::int64_t degree_of(const graph::GraphView& g,
+                                graph::SlotIndex s) {
+    trace::block(trace::kBlockWorkloadKernel);
+    std::int64_t deg = 0;
+    g.for_each_out(s, [&](graph::SlotIndex, double) { ++deg; });
+    g.for_each_in(s, [&](graph::SlotIndex) { ++deg; });
+    g.set_int(s, props::kDegree, deg);
+    return deg;
   }
 };
 

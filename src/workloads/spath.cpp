@@ -10,24 +10,17 @@
 // flag, so selecting and draining a bucket costs O(active vertices) rather
 // than an O(V) slot-table rescan per round.
 //
-// The linear-algebra engine (ctx.engine == kLa) runs a third formulation:
-// Bellman-Ford-style SpMSpV iteration over the (min, +) semiring — x holds
-// the rows whose distance improved last round, y = xᵀ ⊗ A re-relaxes their
-// out-edges, iterate to the fixed point. No buckets, no heap: the product
-// is scatter-only (in-edges carry no weights through GraphView, and SPath
-// has no pull variant on the frontier engine either).
-//
-// All three algorithms converge to the same fixed point, dist[v] = min
-// over in-edges of dist[u] + w. Every candidate is a path-prefix sum
+// Both algorithms converge to the same fixed point, dist[v] = min over
+// in-edges of dist[u] + w. Every candidate is a path-prefix sum
 // (dist[u] + w accumulates along the path in the same operand order in
-// every formulation) and min over doubles is order-invariant, so the final
-// distance array is bit-identical and the checksum (folded from that array
-// in slot order) is engine-, thread-count- and representation-invariant.
+// both) and min over doubles is order-invariant, so the final distance
+// array is bit-identical and the checksum (folded from that array in slot
+// order) is thread-count- and representation-invariant.
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <queue>
 
-#include "la/la_engine.h"
 #include "trace/access.h"
 #include "workloads/workload.h"
 
@@ -47,7 +40,6 @@ class SpathWorkload final : public Workload {
   Category category() const override { return Category::kAnalytics; }
 
   RunResult run(RunContext& ctx) const override {
-    if (ctx.engine == Engine::kLa) return run_la(ctx);
     if (ctx.pool != nullptr && ctx.pool->num_threads() > 1) {
       return run_parallel(ctx);
     }
@@ -112,96 +104,6 @@ class SpathWorkload final : public Workload {
     }
 
     result.checksum = finalize(dist, result.vertices_processed);
-    return result;
-  }
-
-  RunResult run_la(RunContext& ctx) const {
-    const graph::GraphView g = ctx.view();
-    RunResult result;
-
-    const graph::SlotIndex root_slot = g.slot_of(ctx.root);
-    if (root_slot == graph::kInvalidSlot) return result;
-    const std::size_t slots = g.slot_count();
-    const bool parallel = ctx.pool != nullptr && ctx.pool->num_threads() > 1;
-    platform::ThreadPool* pool = parallel ? ctx.pool : nullptr;
-
-    std::vector<std::atomic<double>> dist(slots);
-    // Round stamp: keeps a row stored in y at most once per round even
-    // when several columns lower it.
-    std::vector<std::atomic<std::uint64_t>> queued(slots);
-    platform::parallel_reduce(
-        pool, 0, slots, 256, 0,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t s = lo; s < hi; ++s) {
-            dist[s].store(s == root_slot ? 0.0 : kInf,
-                          std::memory_order_relaxed);
-            queued[s].store(0, std::memory_order_relaxed);
-          }
-          return 0;
-        },
-        [](int a, int) { return a; });
-
-    la::LaEngine eng(g, pool, ctx.traversal, ctx.telemetry);
-    eng.seed(root_slot);
-
-    std::uint64_t round = 0;
-    std::uint64_t edges = 0;
-    while (!eng.done()) {
-      ++round;
-
-      // SpMSpV column kernel over (min, +): column u contributes
-      // dist[u] + w to each out-neighbor row (the path-prefix operand
-      // order every formulation shares); ⊕ = min is the CAS loop. Rows
-      // that improved join y and re-relax next round.
-      auto scatter = [&](graph::SlotIndex u, engine::StepCtx& sc) {
-        trace::block(trace::kBlockWorkloadKernel);
-        const double du = dist[u].load(std::memory_order_relaxed);
-        g.for_each_out(u, [&](graph::SlotIndex row, double w) {
-          ++sc.edges;
-          const double candidate = du + w;
-          double cur = dist[row].load(std::memory_order_relaxed);
-          bool lowered = false;
-          while (candidate < cur) {
-            if (dist[row].compare_exchange_weak(cur, candidate,
-                                                std::memory_order_relaxed)) {
-              lowered = true;
-              break;
-            }
-          }
-          trace::branch(trace::kBranchCompare, lowered);
-          if (lowered &&
-              queued[row].exchange(round, std::memory_order_relaxed) !=
-                  round) {
-            sc.emit(row);
-          }
-        });
-      };
-
-      edges += eng.multiply(scatter).edges;
-    }
-
-    // Publish final distances and count reached vertices.
-    std::vector<double> final_dist(slots, kInf);
-    const std::uint64_t reached = platform::parallel_reduce(
-        pool, 0, slots, 256, std::uint64_t{0},
-        [&](std::size_t lo, std::size_t hi) {
-          std::uint64_t n = 0;
-          for (std::size_t s = lo; s < hi; ++s) {
-            const double d = dist[s].load(std::memory_order_relaxed);
-            final_dist[s] = d;
-            if (d < kInf) {
-              g.set_double(static_cast<graph::SlotIndex>(s), props::kDistance,
-                           d);
-              ++n;
-            }
-          }
-          return n;
-        },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; });
-
-    result.vertices_processed = reached;
-    result.edges_processed = edges;
-    result.checksum = finalize(final_dist, reached);
     return result;
   }
 

@@ -28,32 +28,6 @@ const char* to_string(Category category) {
   return "?";
 }
 
-const char* to_string(Engine engine) {
-  switch (engine) {
-    case Engine::kFrontier:
-      return "frontier";
-    case Engine::kLa:
-      return "la";
-  }
-  return "?";
-}
-
-bool parse_engine(std::string_view s, Engine* out) {
-  if (s == "frontier") {
-    *out = Engine::kFrontier;
-  } else if (s == "la") {
-    *out = Engine::kLa;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool supports_la(const std::string& acronym) {
-  return acronym == "BFS" || acronym == "CComp" || acronym == "SPath" ||
-         acronym == "DCentr";
-}
-
 const std::vector<const Workload*>& all_cpu_workloads() {
   static const std::vector<const Workload*> workloads = {
       &bfs(),    &dfs(),   &gcons(), &gup(), &tmorph(),

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "datagen/edge_list.h"
@@ -38,25 +37,6 @@ enum class Category {
 };
 
 const char* to_string(Category category);
-
-/// Execution backend for the level-synchronous analytic workloads: the
-/// vertex-frontier engine (engine::FrontierEngine) or the linear-algebra
-/// engine (la::LaEngine, masked SpMV/SpMSpV). The two are bit-identical by
-/// construction (engine/chunking.h); workloads without an LA formulation
-/// ignore the knob and always run their frontier path.
-enum class Engine {
-  kFrontier,
-  kLa,
-};
-
-const char* to_string(Engine engine);
-
-/// Parses "frontier" / "la"; returns false on anything else.
-bool parse_engine(std::string_view s, Engine* out);
-
-/// True for the workloads carrying an independent LA formulation (BFS,
-/// CComp, SPath, DCentr).
-bool supports_la(const std::string& acronym);
 
 /// Property keys for algorithm state stored on vertices.
 namespace props {
@@ -122,9 +102,6 @@ struct RunContext {
   /// When set, the engine appends per-superstep telemetry here
   /// (direction taken, frontier occupancy, chunks stolen).
   engine::TraversalTelemetry* telemetry = nullptr;
-  /// Execution backend for the ported workloads (BFS, CComp, SPath,
-  /// DCentr); others ignore it. Results are checksum-identical either way.
-  Engine engine = Engine::kFrontier;
 
   /// GCons: edges to build from. GUp: unused.
   const datagen::EdgeList* edge_list = nullptr;

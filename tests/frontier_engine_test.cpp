@@ -392,5 +392,14 @@ TEST(EngineTelemetry, RecordsSuperstepsAndDirections) {
   EXPECT_FALSE(tel.summary().empty());
 }
 
+TEST(FrontierEngine, UsePullStepMatchesBeamerThreshold) {
+  using engine::Direction;
+  EXPECT_TRUE(engine::use_pull_step(Direction::kPull, 0, 12.0, 1000));
+  EXPECT_FALSE(engine::use_pull_step(Direction::kPush, 1000, 12.0, 1000));
+  // Auto: pull once frontier mass * alpha exceeds the total edge mass.
+  EXPECT_FALSE(engine::use_pull_step(Direction::kAuto, 83, 12.0, 1000));
+  EXPECT_TRUE(engine::use_pull_step(Direction::kAuto, 84, 12.0, 1000));
+}
+
 }  // namespace
 }  // namespace graphbig

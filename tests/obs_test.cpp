@@ -359,7 +359,6 @@ TEST(RunReport, GoldenSchemaRoundTrip) {
   report.threads = 4;
   report.representation = "frozen";
   report.backend = "disk";
-  report.engine = "la";
   report.direction = "auto";
   report.stealing = true;
   report.layout = "degree";
@@ -396,9 +395,8 @@ TEST(RunReport, GoldenSchemaRoundTrip) {
 
   for (const char* path :
        {"schema", "workload", "dataset", "scale", "config.threads",
-        "config.representation", "config.backend", "config.engine",
-        "config.direction", "config.steal", "config.layout",
-        "config.compress",
+        "config.representation", "config.backend", "config.direction",
+        "config.steal", "config.layout", "config.compress",
         "config.refresh_mode", "config.churn.batches", "config.churn.ops",
         "config.churn.seed", "config.pool_pages", "snapshot.path",
         "snapshot.format", "snapshot.version", "snapshot.checksum",
@@ -416,7 +414,8 @@ TEST(RunReport, GoldenSchemaRoundTrip) {
   EXPECT_EQ(doc.find_path("schema")->str, "graphbig.run.v1");
   EXPECT_EQ(doc.find_path("result.checksum")->str, "9223372036854775811");
   EXPECT_EQ(doc.find_path("config.backend")->str, "disk");
-  EXPECT_EQ(doc.find_path("config.engine")->str, "la");
+  // Only one execution engine exists, so the config carries no engine axis.
+  EXPECT_EQ(doc.find_path("config")->find("engine"), nullptr);
   EXPECT_EQ(doc.find_path("snapshot.format")->str, "graphbig.snap.v1");
   EXPECT_EQ(doc.find_path("snapshot.checksum")->str, "9223372036854775815");
   EXPECT_EQ(doc.find_path("config.threads")->number, 4.0);

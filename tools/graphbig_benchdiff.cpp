@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "flag_number.h"
 #include "obs/json.h"
 
 using graphbig::obs::JsonValue;
@@ -69,8 +70,8 @@ std::string run_key(const JsonValue& run) {
   key += "|" + field_or(run, "scale", "?");
   for (const char* axis :
        {"config.threads", "config.representation", "config.backend",
-        "config.engine", "config.direction", "config.layout",
-        "config.compress", "config.refresh_mode"}) {
+        "config.direction", "config.layout", "config.compress",
+        "config.refresh_mode"}) {
     key += "|" + field_or(run, axis, "-");
   }
   return key;
@@ -154,9 +155,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threshold-pct") {
-      threshold_pct = std::atof(next().c_str());
+      threshold_pct = graphbig::tools::parse_flag_number<double>(arg, next());
     } else if (arg == "--min-seconds") {
-      min_seconds = std::atof(next().c_str());
+      min_seconds = graphbig::tools::parse_flag_number<double>(arg, next());
     } else if (arg == "--help" || arg == "-h") {
       print_usage();
       return 0;

@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "flag_number.h"
 #include "harness/experiment.h"
 #include "harness/tables.h"
 #include "obs/metrics.h"
@@ -42,10 +43,6 @@ void print_usage() {
   --direction push|pull|auto   traversal direction for frontier-engine
                          workloads (default: auto = per-superstep
                          direction-optimizing choice)
-  --engine frontier|la   execution backend for BFS/CComp/SPath/DCentr:
-                         vertex-frontier traversal or the linear-algebra
-                         engine (masked SpMV/SpMSpV); checksums are
-                         identical either way (default: frontier)
   --steal on|off         work-stealing for degree-weighted edge chunks
                          (default: on)
   --layout natural|degree|rcm   frozen-snapshot vertex placement: natural
@@ -114,7 +111,6 @@ int main(int argc, char** argv) {
   int threads = 1;
   harness::Representation representation = harness::Representation::kDynamic;
   engine::TraversalOptions traversal;
-  workloads::Engine wl_engine = workloads::Engine::kFrontier;
   harness::RefreshMode refresh_mode = harness::RefreshMode::kFull;
   graph::LayoutOptions layout;
   harness::ChurnPhase churn;
@@ -163,7 +159,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--threads") {
-      threads = std::atoi(next().c_str());
+      threads = tools::parse_flag_number<int>(arg, next());
       if (threads < 0) {
         std::cerr << "--threads must be >= 0\n";
         return 2;
@@ -187,13 +183,6 @@ int main(int argc, char** argv) {
       if (!engine::parse_direction(d, &traversal.direction)) {
         std::cerr << "unknown direction: " << d
                   << " (expected push, pull, or auto)\n";
-        return 2;
-      }
-    } else if (arg == "--engine") {
-      const std::string e = next();
-      if (!workloads::parse_engine(e, &wl_engine)) {
-        std::cerr << "unknown engine: " << e
-                  << " (expected frontier or la)\n";
         return 2;
       }
     } else if (arg == "--steal") {
@@ -232,21 +221,20 @@ int main(int argc, char** argv) {
       }
       refresh_given = true;
     } else if (arg == "--churn-batches") {
-      churn.batches = std::atoi(next().c_str());
+      churn.batches = tools::parse_flag_number<int>(arg, next());
       if (churn.batches < 0) {
         std::cerr << "--churn-batches must be >= 0\n";
         return 2;
       }
     } else if (arg == "--churn-ops") {
-      const int ops = std::atoi(next().c_str());
+      const int ops = tools::parse_flag_number<int>(arg, next());
       if (ops <= 0) {
         std::cerr << "--churn-ops must be > 0\n";
         return 2;
       }
       churn.config.ops = static_cast<std::size_t>(ops);
     } else if (arg == "--churn-seed") {
-      churn.config.seed =
-          static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      churn.config.seed = tools::parse_flag_number<std::uint64_t>(arg, next());
     } else if (arg == "--backend") {
       const std::string b = next();
       if (!harness::parse_backend(b, &backend)) {
@@ -255,7 +243,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--pool-pages") {
-      const int pages = std::atoi(next().c_str());
+      const int pages = tools::parse_flag_number<int>(arg, next());
       if (pages <= 0) {
         std::cerr << "--pool-pages must be > 0\n";
         return 2;
@@ -274,7 +262,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--stats-out") {
       stats_out = next();
     } else if (arg == "--stats-interval-ms") {
-      stats_interval_ms = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      stats_interval_ms = tools::parse_flag_number<std::uint64_t>(arg, next());
       if (stats_interval_ms == 0) {
         std::cerr << "--stats-interval-ms must be > 0\n";
         return 2;
@@ -479,16 +467,9 @@ int main(int argc, char** argv) {
   }
   const bool ran_frozen = representation == harness::Representation::kFrozen &&
                           harness::supports_frozen(*w);
-  if (wl_engine == workloads::Engine::kLa &&
-      !workloads::supports_la(w->acronym())) {
-    std::cout << "note: " << w->acronym()
-              << " has no linear-algebra formulation; running on the "
-                 "frontier engine\n";
-    wl_engine = workloads::Engine::kFrontier;
-  }
   if (refresh_given && churn.batches == 0) churn.batches = 4;
-  std::cout << "run config: engine=" << workloads::to_string(wl_engine)
-            << " direction=" << engine::to_string(traversal.direction)
+  std::cout << "run config: direction="
+            << engine::to_string(traversal.direction)
             << " steal=" << (traversal.stealing ? "on" : "off")
             << " representation=" << harness::to_string(representation)
             << " backend="
@@ -508,8 +489,7 @@ int main(int argc, char** argv) {
   harness::CpuTimedRun r;
   try {
     r = harness::run_cpu_timed(*w, bundle, threads, representation, traversal,
-                               refresh_mode, churn, layout, backend, disk,
-                               wl_engine);
+                               refresh_mode, churn, layout, backend, disk);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
@@ -555,7 +535,6 @@ int main(int argc, char** argv) {
       report.snapshot_version = bundle.snapshot_version;
       report.snapshot_checksum = bundle.snapshot_checksum;
     }
-    report.engine = workloads::to_string(wl_engine);
     report.direction = engine::to_string(traversal.direction);
     report.stealing = traversal.stealing;
     report.layout = graph::to_string(layout.order);

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "datagen/edge_list.h"
+#include "flag_number.h"
 #include "graph/churn.h"
 #include "harness/experiment.h"
 #include "harness/tables.h"
@@ -143,48 +144,48 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--workers") {
-      workers = std::atoi(next().c_str());
+      workers = tools::parse_flag_number<int>(arg, next());
       if (workers < 1) {
         std::cerr << "--workers must be >= 1\n";
         return 2;
       }
     } else if (arg == "--rate") {
-      rate = std::atof(next().c_str());
+      rate = tools::parse_flag_number<double>(arg, next());
       if (rate <= 0) {
         std::cerr << "--rate must be > 0\n";
         return 2;
       }
     } else if (arg == "--queries") {
-      target_queries = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      target_queries = tools::parse_flag_number<std::uint64_t>(arg, next());
     } else if (arg == "--khop") {
-      khop = std::atoi(next().c_str());
+      khop = tools::parse_flag_number<int>(arg, next());
       if (khop < 1) {
         std::cerr << "--khop must be >= 1\n";
         return 2;
       }
     } else if (arg == "--queue-capacity") {
-      queue_capacity = static_cast<std::size_t>(std::atoll(next().c_str()));
+      queue_capacity = tools::parse_flag_number<std::size_t>(arg, next());
     } else if (arg == "--slots") {
-      slots = static_cast<std::uint32_t>(std::atoi(next().c_str()));
+      slots = tools::parse_flag_number<std::uint32_t>(arg, next());
     } else if (arg == "--pool-capacity") {
-      pool_capacity = static_cast<std::uint32_t>(std::atoi(next().c_str()));
+      pool_capacity = tools::parse_flag_number<std::uint32_t>(arg, next());
     } else if (arg == "--query-seed") {
-      query_seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      query_seed = tools::parse_flag_number<std::uint64_t>(arg, next());
     } else if (arg == "--churn-ops") {
-      const int ops = std::atoi(next().c_str());
+      const int ops = tools::parse_flag_number<int>(arg, next());
       if (ops <= 0) {
         std::cerr << "--churn-ops must be > 0\n";
         return 2;
       }
       churn_ops = static_cast<std::size_t>(ops);
     } else if (arg == "--churn-interval-ms") {
-      churn_interval_ms = std::atof(next().c_str());
+      churn_interval_ms = tools::parse_flag_number<double>(arg, next());
       if (churn_interval_ms <= 0) {
         std::cerr << "--churn-interval-ms must be > 0\n";
         return 2;
       }
     } else if (arg == "--churn-seed") {
-      churn_seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      churn_seed = tools::parse_flag_number<std::uint64_t>(arg, next());
     } else if (arg == "--verify") {
       verify = true;
     } else if (arg == "--smoke") {
@@ -196,13 +197,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--stats-out") {
       stats_out = next();
     } else if (arg == "--stats-interval-ms") {
-      stats_interval_ms = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      stats_interval_ms = tools::parse_flag_number<std::uint64_t>(arg, next());
       if (stats_interval_ms == 0) {
         std::cerr << "--stats-interval-ms must be > 0\n";
         return 2;
       }
     } else if (arg == "--slo-threshold-us") {
-      slo_threshold_us = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      slo_threshold_us = tools::parse_flag_number<std::uint64_t>(arg, next());
     } else if (arg == "--help" || arg == "-h") {
       print_usage();
       return 0;
