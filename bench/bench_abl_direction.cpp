@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   double push_total = 0.0;
   double auto_total = 0.0;
 
-  for (const auto [id, name] :
+  for (const auto& [id, name] :
        {std::pair{datagen::DatasetId::kTwitter, "twitter"},
         std::pair{datagen::DatasetId::kRoadNet, "roadnet"}}) {
     const auto& bundle = bundles.get(id);

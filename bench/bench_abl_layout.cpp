@@ -208,7 +208,6 @@ int main(int argc, char** argv) {
         report.threads = threads;
         report.representation = "frozen";
         report.direction = "auto";
-        report.stealing = true;
         report.layout = graph::to_string(c.layout.order);
         report.compress = c.layout.compress;
         report.seconds = secs;

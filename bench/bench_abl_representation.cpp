@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
       report.threads = kThreads;
       report.representation = r == &best_dyn ? "dynamic" : "frozen";
       report.direction = "auto";
-      report.stealing = true;
       report.seconds = r->seconds;
       report.checksum = r->run.checksum;
       report.vertices_processed = r->run.vertices_processed;

@@ -1,25 +1,21 @@
 // Degree-weighted chunk scheduling for FrontierEngine supersteps.
 //
 // Chunk boundaries depend only on frontier content (never on the thread
-// count), and per-chunk partial results merge in ascending chunk order, so
-// a superstep touches the same logical edges in the same order and folds
-// floating-point partials in the same reduction order at any thread count,
-// with stealing on or off.
+// count), and the engine merges per-chunk partial results in ascending
+// chunk order through platform::parallel_reduce, so a superstep touches the
+// same logical edges in the same order and folds floating-point partials
+// in the same reduction order at any thread count. Which worker runs a
+// chunk (the work-stealing scheduler decides) never matters; callers must
+// not depend on execution order, only on merge order.
 //
-// Three chunk-boundary policies:
-//   * fixed_bounds      — O(1)-work items (slot scans, list filters).
+// Two chunk-boundary policies (O(1)-work scans and filters use
+// parallel_reduce's fixed-width grain directly):
 //   * frontier_bounds   — degree-weighted cuts of an explicit slot list
 //                         (push supersteps: one hub must not ride with
 //                         thousands of leaves in a single chunk).
 //   * slot_space_bounds — degree-weighted cuts of the whole slot space
 //                         (pull supersteps; CSR row-pointer prefixes give
 //                         boundaries by binary search).
-//
-// run_chunks executes body(c) for every chunk id and merges partials in
-// ascending chunk order — through ThreadPool::parallel_reduce_stealing
-// when stealing is on, parallel_reduce otherwise, sequentially without a
-// pool. The ascending merge is the determinism contract; callers must not
-// depend on execution order, only on merge order.
 #pragma once
 
 #include <algorithm>
@@ -27,9 +23,11 @@
 #include <vector>
 
 #include "graph/graph_view.h"
-#include "platform/thread_pool.h"
 
 namespace graphbig::engine {
+
+/// Target edge-endpoints (degree + 1 per vertex) per degree-weighted chunk.
+inline constexpr std::uint64_t kEdgeGrain = 2048;
 
 /// Chunk weight of one frontier entry on a push-style expansion: degree
 /// + 1 (an isolated vertex still costs one frontier-entry touch).
@@ -44,22 +42,12 @@ inline std::uint64_t pull_weight(const graph::GraphView& g,
   return 1 + g.in_degree(s) + (undirected ? g.out_degree(s) : 0);
 }
 
-/// Fixed-width bounds for O(1)-work items: [0, grain, 2*grain, ..., n].
-inline std::vector<std::size_t> fixed_bounds(std::size_t n,
-                                             std::size_t grain) {
-  std::vector<std::size_t> bounds;
-  bounds.push_back(0);
-  for (std::size_t lo = grain; lo < n; lo += grain) bounds.push_back(lo);
-  if (bounds.back() != n) bounds.push_back(n);
-  return bounds;
-}
-
-/// Cuts an explicit slot list into chunks of ~edge_grain push weight.
+/// Cuts an explicit slot list into chunks of ~kEdgeGrain push weight.
 /// Returns the list's total edge mass (degrees only — the input to the
 /// push/pull direction heuristic).
 inline std::uint64_t frontier_bounds(const graph::GraphView& g,
                                      const std::vector<graph::SlotIndex>& list,
-                                     bool undirected, std::size_t edge_grain,
+                                     bool undirected,
                                      std::vector<std::size_t>* bounds) {
   bounds->clear();
   bounds->push_back(0);
@@ -69,7 +57,7 @@ inline std::uint64_t frontier_bounds(const graph::GraphView& g,
     const std::uint64_t w = push_weight(g, list[i], undirected);
     mass += w - 1;
     acc += w;
-    if (acc >= edge_grain) {
+    if (acc >= kEdgeGrain) {
       bounds->push_back(i + 1);
       acc = 0;
     }
@@ -78,14 +66,13 @@ inline std::uint64_t frontier_bounds(const graph::GraphView& g,
   return mass;
 }
 
-/// Cuts the whole slot space [0, slots) into ~edge_grain pull-weight
+/// Cuts the whole slot space [0, slots) into ~kEdgeGrain pull-weight
 /// chunks. On the frozen/disk backends the CSR row-pointer prefixes give
 /// chunk boundaries by binary search; the dynamic backend walks degrees
 /// once.
 inline std::vector<std::size_t> slot_space_bounds(const graph::GraphView& g,
                                                   std::size_t slots,
-                                                  bool undirected,
-                                                  std::size_t edge_grain) {
+                                                  bool undirected) {
   std::vector<std::size_t> bounds;
   bounds.push_back(0);
   if (g.has_degree_prefix()) {
@@ -95,7 +82,7 @@ inline std::vector<std::size_t> slot_space_bounds(const graph::GraphView& g,
     };
     const std::uint64_t total = weight_before(slots);
     const std::size_t nchunks = std::max<std::size_t>(
-        1, std::min<std::uint64_t>(slots, total / edge_grain));
+        1, std::min<std::uint64_t>(slots, total / kEdgeGrain));
     for (std::size_t k = 1; k < nchunks; ++k) {
       const std::uint64_t target = total / nchunks * k;
       std::size_t lo = bounds.back();
@@ -114,7 +101,7 @@ inline std::vector<std::size_t> slot_space_bounds(const graph::GraphView& g,
     std::uint64_t acc = 0;
     for (std::size_t s = 0; s < slots; ++s) {
       acc += pull_weight(g, static_cast<graph::SlotIndex>(s), undirected);
-      if (acc >= edge_grain) {
+      if (acc >= kEdgeGrain) {
         bounds.push_back(s + 1);
         acc = 0;
       }
@@ -122,37 +109,6 @@ inline std::vector<std::size_t> slot_space_bounds(const graph::GraphView& g,
   }
   if (bounds.back() != slots) bounds.push_back(slots);
   return bounds;
-}
-
-/// Runs body(c) for every chunk id in [0, nchunks), merging the partial
-/// results in ascending chunk order — parallel through the pool
-/// (stealing-scheduled when `stealing`), sequential otherwise. The merge
-/// order is what keeps results thread-count-invariant.
-template <typename T, typename Body, typename Reduce>
-T run_chunks(platform::ThreadPool* pool, bool stealing, std::size_t nchunks,
-             T identity, const Body& body, const Reduce& reduce,
-             std::uint64_t* stolen) {
-  if (stolen != nullptr) *stolen = 0;
-  T acc = std::move(identity);
-  if (nchunks == 0) return acc;
-  if (pool == nullptr || pool->num_threads() == 1 || nchunks == 1) {
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      acc = reduce(std::move(acc), body(c));
-    }
-    return acc;
-  }
-  auto map = [&](std::size_t lo, std::size_t hi) {
-    T p = body(lo);
-    for (std::size_t c = lo + 1; c < hi; ++c) {
-      p = reduce(std::move(p), body(c));
-    }
-    return p;
-  };
-  if (stealing) {
-    return pool->parallel_reduce_stealing(0, nchunks, 1, std::move(acc), map,
-                                          reduce, stolen);
-  }
-  return pool->parallel_reduce(0, nchunks, 1, std::move(acc), map, reduce);
 }
 
 }  // namespace graphbig::engine

@@ -160,11 +160,14 @@ void Frontier::ensure_bits(platform::ThreadPool* pool) {
     bits_.clear_all();
   }
   const std::vector<graph::SlotIndex>& l = list_;
-  if (pool != nullptr && pool->num_threads() > 1 && l.size() > 1024) {
-    pool->parallel_for(0, l.size(),
-                       [&](std::size_t i) { bits_.test_and_set(l[i]); });
+  auto mark = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) bits_.test_and_set(l[i]);
+  };
+  constexpr std::size_t kMarkGrain = 1024;
+  if (pool != nullptr) {
+    pool->parallel_for(0, l.size(), kMarkGrain, mark);
   } else {
-    for (const graph::SlotIndex s : l) bits_.test_and_set(s);
+    mark(0, l.size());
   }
   has_bits_ = true;
 }
@@ -177,10 +180,7 @@ void Frontier::ensure_list(platform::ThreadPool* pool) {
   constexpr std::size_t kWordGrain = 1024;
   const std::size_t words = bits_.num_words();
   list_ = platform::parallel_reduce(
-      (pool != nullptr && pool->num_threads() > 1 && words > kWordGrain)
-          ? pool
-          : nullptr,
-      0, words, kWordGrain, std::vector<graph::SlotIndex>{},
+      pool, 0, words, kWordGrain, std::vector<graph::SlotIndex>{},
       [&](std::size_t lo, std::size_t hi) {
         std::vector<graph::SlotIndex> out;
         for (std::size_t w = lo; w < hi; ++w) {
@@ -223,10 +223,6 @@ void record_stolen(TraversalTelemetry* t, std::uint64_t stolen) {
   if (t == nullptr) return;
   std::lock_guard<std::mutex> lock(telemetry_mutex());
   t->stolen_chunks += stolen;
-}
-
-void FrontierEngine::bump_stolen(std::uint64_t stolen) {
-  record_stolen(tel_, stolen);
 }
 
 }  // namespace graphbig::engine

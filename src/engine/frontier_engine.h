@@ -8,30 +8,34 @@
 // chunk/merge scheduling. The engine centralizes three decisions the
 // individual copies could not make well:
 //
-//   1. Frontier representation. A frontier is kept sparse (a vector of
-//      slot indices) while it is small and dense (an atomic bitmap) once
-//      its occupancy crosses slot_count / dense_threshold_den. Either
-//      representation can be materialized from the other on demand, in
-//      ascending slot order, so the choice never changes results.
+//   1. Frontier representation. A frontier is a sparse vector of slot
+//      indices, a dense atomic bitmap, or both. Push supersteps read and
+//      emit the sparse list; a pull superstep densifies the frontier it
+//      probes (Frontier::ensure_bits) and marks its activations in a
+//      bitmap. Either representation can be materialized from the other
+//      on demand, in ascending slot order, so the choice never changes
+//      results. Occupancy alone never converts a frontier: a step whose
+//      frontier holds at least slot_count / 16 slots is only flagged
+//      `dense` in telemetry.
 //
 //   2. Traversal direction. Each superstep runs either push (expand the
 //      out-edges of active vertices, the classic top-down step) or pull
 //      (scan candidate vertices and probe their in-edges for an active
 //      parent, abandoning the scan at the first hit). Following Beamer's
 //      direction-optimizing heuristic, auto mode pulls when the edge mass
-//      hanging off the frontier exceeds total_edges / alpha — on power-law
+//      hanging off the frontier exceeds total_edges / 12 — on power-law
 //      graphs the few hub-dominated middle supersteps switch to pull and
 //      touch a fraction of the edges push would.
 //
 //   3. Edge-work scheduling. Superstep work is cut into chunks of roughly
-//      edge_grain edge-endpoints each (degree-weighted, so one hub does
+//      kEdgeGrain edge-endpoints each (degree-weighted, so one hub does
 //      not ride along with thousands of leaves in a single chunk) and
-//      scheduled with ThreadPool::parallel_for_stealing: workers stream
-//      their own chunk blocks and steal half of a straggler's remainder
-//      when they run dry. Chunk boundaries depend only on frontier
-//      content, and per-chunk partial results merge in ascending chunk
-//      order, so checksums are invariant across 1..N threads, push vs
-//      pull, stealing on or off, and dynamic vs frozen backends.
+//      run through platform::parallel_reduce on the pool's work-stealing
+//      loop: workers stream their own chunk blocks and steal half of a
+//      straggler's remainder when they run dry. Chunk boundaries depend
+//      only on frontier content, and per-chunk partial results merge in
+//      ascending chunk order, so checksums are invariant across 1..N
+//      threads, push vs pull, and dynamic vs frozen backends.
 //
 // Kernels are plugged in as lambdas; the engine owns frontiers, direction
 // choice, chunking, and telemetry. See DESIGN.md section 9.
@@ -63,31 +67,25 @@ const char* to_string(Direction d);
 /// Parses "push" / "pull" / "auto"; returns false on anything else.
 bool parse_direction(std::string_view s, Direction* out);
 
+/// Beamer's alpha: auto mode pulls when the frontier's edge mass exceeds
+/// total edge mass / kPullAlpha.
+inline constexpr double kPullAlpha = 12.0;
+
 /// The Beamer m/alpha direction decision: pull when the edge mass hanging
-/// off the frontier exceeds total_edge_mass / alpha.
+/// off the frontier exceeds total_edge_mass / kPullAlpha.
 inline bool use_pull_step(Direction direction, std::uint64_t frontier_mass,
-                          double alpha, std::uint64_t total_edge_mass) {
+                          std::uint64_t total_edge_mass) {
   return direction == Direction::kPull ||
          (direction == Direction::kAuto &&
-          static_cast<double>(frontier_mass) * alpha >
+          static_cast<double>(frontier_mass) * kPullAlpha >
               static_cast<double>(total_edge_mass));
 }
 
 struct TraversalOptions {
   Direction direction = Direction::kAuto;
-  /// Schedule chunks with parallel_for_stealing (else the shared-cursor
-  /// parallel_for_chunked path inside parallel_reduce).
-  bool stealing = true;
-  /// Auto mode pulls when frontier edge mass > total edge mass / alpha.
-  double alpha = 12.0;
   /// Count both edge directions in degree weights and edge mass (set by
   /// the workloads that traverse the graph as undirected).
   bool undirected = false;
-  /// Target edge-endpoints (degree + 1 per vertex) per scheduled chunk.
-  std::size_t edge_grain = 2048;
-  /// A frontier holding more than slot_count / dense_threshold_den slots
-  /// is considered dense (representation policy + telemetry).
-  std::size_t dense_threshold_den = 16;
 };
 
 /// One superstep's record: direction taken, frontier occupancy entering
@@ -274,22 +272,17 @@ class FrontierEngine {
   /// activation count.
   template <typename Pred>
   std::size_t activate_where(const Pred& pred) {
-    std::vector<std::size_t> bounds = fixed_bounds(slots_, kScanGrain);
-    auto body = [&](std::size_t c) {
-      std::vector<graph::SlotIndex> out;
-      for (std::size_t s = bounds[c]; s < bounds[c + 1]; ++s) {
-        const auto slot = static_cast<graph::SlotIndex>(s);
-        if (pred(slot)) out.push_back(slot);
-      }
-      return out;
-    };
-    std::vector<graph::SlotIndex> merged = run_chunks(
-        bounds.size() - 1, std::vector<graph::SlotIndex>{}, body,
-        [](std::vector<graph::SlotIndex> a, std::vector<graph::SlotIndex> b) {
-          a.insert(a.end(), b.begin(), b.end());
-          return a;
+    std::vector<graph::SlotIndex> merged = platform::parallel_reduce(
+        pool_, 0, slots_, kScanGrain, std::vector<graph::SlotIndex>{},
+        [&](std::size_t lo, std::size_t hi) {
+          std::vector<graph::SlotIndex> out;
+          for (std::size_t s = lo; s < hi; ++s) {
+            const auto slot = static_cast<graph::SlotIndex>(s);
+            if (pred(slot)) out.push_back(slot);
+          }
+          return out;
         },
-        nullptr);
+        append_slots);
     const std::size_t n = merged.size();
     cur_.adopt_list(std::move(merged));
     return n;
@@ -326,12 +319,12 @@ class FrontierEngine {
     std::vector<std::size_t> bounds;
     const std::uint64_t mass = list_bounds(&bounds);
     const bool use_pull =
-        use_pull_step(opts_.direction, mass, opts_.alpha, total_edge_mass_);
+        use_pull_step(opts_.direction, mass, total_edge_mass_);
     if (!use_pull) return push_step(push, bounds, mass);
     return pull_step(pull, cand, mass);
   }
 
-  /// Degree-weighted, stealing-scheduled sweep over the current frontier
+  /// Degree-weighted, work-stealing sweep over the current frontier
   /// without advancing it: chunks start from a copy of `identity`,
   /// item(slot, partial) folds one vertex in, partials merge in ascending
   /// chunk order. Backs the non-traversal rounds (GColor decide, DCentr
@@ -343,19 +336,19 @@ class FrontierEngine {
     std::vector<std::size_t> bounds;
     list_bounds(&bounds);
     std::uint64_t stolen = 0;
-    auto body = [&](std::size_t c) {
+    auto body = [&](std::size_t clo, std::size_t chi) {
       T p = identity;
-      for (std::size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
+      for (std::size_t i = bounds[clo]; i < bounds[chi]; ++i) {
         trace::read(trace::MemKind::kMetadata, &list[i],
                     sizeof(graph::SlotIndex));
         item(list[i], p);
       }
       return p;
     };
-    T merged =
-        run_chunks(bounds.size() - 1, std::move(identity), body, reduce,
-                   &stolen);
-    bump_stolen(stolen);
+    // `identity` is copied, not moved: every chunk body starts from it.
+    T merged = platform::parallel_reduce(pool_, 0, bounds.size() - 1, 1,
+                                         identity, body, reduce, &stolen);
+    record_stolen(tel_, stolen);
     return merged;
   }
 
@@ -366,22 +359,16 @@ class FrontierEngine {
     cur_.ensure_list(pool_);
     const auto& list = cur_.list();
     const std::size_t before = list.size();
-    std::vector<std::size_t> bounds = fixed_bounds(before, kScanGrain);
-    auto body = [&](std::size_t c) {
-      std::vector<graph::SlotIndex> out;
-      for (std::size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
-        if (keep(list[i])) out.push_back(list[i]);
-      }
-      return out;
-    };
-    std::vector<graph::SlotIndex> kept = run_chunks(
-        bounds.empty() ? 0 : bounds.size() - 1,
-        std::vector<graph::SlotIndex>{}, body,
-        [](std::vector<graph::SlotIndex> a, std::vector<graph::SlotIndex> b) {
-          a.insert(a.end(), b.begin(), b.end());
-          return a;
+    std::vector<graph::SlotIndex> kept = platform::parallel_reduce(
+        pool_, 0, before, kScanGrain, std::vector<graph::SlotIndex>{},
+        [&](std::size_t lo, std::size_t hi) {
+          std::vector<graph::SlotIndex> out;
+          for (std::size_t i = lo; i < hi; ++i) {
+            if (keep(list[i])) out.push_back(list[i]);
+          }
+          return out;
         },
-        nullptr);
+        append_slots);
     const std::size_t after = kept.size();
     cur_.adopt_list(std::move(kept));
     return before - after;
@@ -389,27 +376,20 @@ class FrontierEngine {
 
  private:
   static constexpr std::size_t kScanGrain = 4096;  // slots per O(1)-work chunk
+  /// A step whose frontier holds at least slot_count / kDenseDen slots is
+  /// flagged dense in telemetry (the flag never converts the frontier).
+  static constexpr std::size_t kDenseDen = 16;
 
-  // Chunk boundaries and the ascending-merge chunk runner live in
-  // engine/chunking.h.
+  static std::vector<graph::SlotIndex> append_slots(
+      std::vector<graph::SlotIndex> a, std::vector<graph::SlotIndex> b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  }
 
-  /// Cuts the current list into chunks of ~edge_grain weight; returns the
+  /// Cuts the current list into chunks of ~kEdgeGrain weight; returns the
   /// total frontier edge mass (degrees only, the heuristic input).
   std::uint64_t list_bounds(std::vector<std::size_t>* bounds) const {
-    return frontier_bounds(g_, cur_.list(), opts_.undirected,
-                           opts_.edge_grain, bounds);
-  }
-
-  /// Cuts the whole slot space into ~edge_grain pull-weight chunks.
-  std::vector<std::size_t> slot_bounds() const {
-    return slot_space_bounds(g_, slots_, opts_.undirected, opts_.edge_grain);
-  }
-
-  template <typename T, typename Body, typename Reduce>
-  T run_chunks(std::size_t nchunks, T identity, const Body& body,
-               const Reduce& reduce, std::uint64_t* stolen) const {
-    return engine::run_chunks(pool_, opts_.stealing, nchunks,
-                              std::move(identity), body, reduce, stolen);
+    return frontier_bounds(g_, cur_.list(), opts_.undirected, bounds);
   }
 
   template <typename PushFn>
@@ -430,11 +410,11 @@ class FrontierEngine {
       std::vector<graph::SlotIndex> out;
       std::uint64_t edges = 0;
     };
-    auto body = [&](std::size_t c) {
+    auto body = [&](std::size_t clo, std::size_t chi) {
       Partial p;
       StepCtx ctx;
       ctx.out = &p.out;
-      for (std::size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
+      for (std::size_t i = bounds[clo]; i < bounds[chi]; ++i) {
         trace::read(trace::MemKind::kMetadata, &list[i],
                     sizeof(graph::SlotIndex));
         push(list[i], ctx);
@@ -442,8 +422,8 @@ class FrontierEngine {
       p.edges = ctx.edges;
       return p;
     };
-    Partial merged = run_chunks(
-        bounds.size() - 1, Partial{}, body,
+    Partial merged = platform::parallel_reduce(
+        pool_, 0, bounds.size() - 1, 1, Partial{}, body,
         [](Partial a, Partial b) {
           a.out.insert(a.out.end(), b.out.begin(), b.out.end());
           a.edges += b.edges;
@@ -470,14 +450,15 @@ class FrontierEngine {
     next_.prepare_bits();
     StepResult r;
     r.frontier = cur_.count();
-    const std::vector<std::size_t> bounds = slot_bounds();
+    const std::vector<std::size_t> bounds =
+        slot_space_bounds(g_, slots_, opts_.undirected);
     struct Partial {
       std::uint64_t activated = 0;
       std::uint64_t edges = 0;
     };
-    auto body = [&](std::size_t c) {
+    auto body = [&](std::size_t clo, std::size_t chi) {
       Partial p;
-      for (std::size_t s = bounds[c]; s < bounds[c + 1]; ++s) {
+      for (std::size_t s = bounds[clo]; s < bounds[chi]; ++s) {
         const auto slot = static_cast<graph::SlotIndex>(s);
         if (!g_.is_live(slot)) continue;
         if (!cand(slot)) continue;
@@ -490,8 +471,8 @@ class FrontierEngine {
       }
       return p;
     };
-    Partial merged = run_chunks(
-        bounds.size() - 1, Partial{}, body,
+    Partial merged = platform::parallel_reduce(
+        pool_, 0, bounds.size() - 1, 1, Partial{}, body,
         [](Partial a, Partial b) {
           a.activated += b.activated;
           a.edges += b.edges;
@@ -510,8 +491,7 @@ class FrontierEngine {
     StepTelemetry st;
     st.step = step_;
     st.pull = r.pull;
-    st.dense = opts_.dense_threshold_den != 0 &&
-               r.frontier * opts_.dense_threshold_den >= slots_;
+    st.dense = r.frontier * kDenseDen >= slots_;
     st.frontier = r.frontier;
     st.frontier_edges = mass;
     st.activated = r.activated;
@@ -522,8 +502,6 @@ class FrontierEngine {
     next_.clear();
     ++step_;
   }
-
-  void bump_stolen(std::uint64_t stolen);
 
   graph::GraphView g_;
   platform::ThreadPool* pool_;

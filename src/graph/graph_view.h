@@ -194,8 +194,8 @@ class GraphView {
   // The frozen CSR's row-pointer arrays answer "how many edges do slots
   // [lo, hi) own" in O(1), which is what lets the frontier engine cut a
   // dense sweep into equal-edge-weight chunks without walking degrees.
-  // The dynamic backend has no prefix structure; callers fall back to
-  // fixed-width chunks plus work stealing.
+  // The dynamic backend has no prefix structure; callers walk its degrees
+  // once to place the same degree-weighted cuts.
 
   bool has_degree_prefix() const { return frozen(); }
 

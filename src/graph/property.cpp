@@ -76,7 +76,7 @@ void PropertyMap::set_int(PropKey key, std::int64_t v) {
     trace::write(trace::MemKind::kProperty, e, sizeof(std::int64_t));
     return;
   }
-  entries_.push_back(Entry{key, PropertyValue{v}});
+  entries_.emplace_back(key, v);
   trace::write(trace::MemKind::kProperty, &entries_.back(), sizeof(Entry));
 }
 
@@ -87,7 +87,7 @@ void PropertyMap::set_double(PropKey key, double v) {
     trace::write(trace::MemKind::kProperty, e, sizeof(double));
     return;
   }
-  entries_.push_back(Entry{key, PropertyValue{v}});
+  entries_.emplace_back(key, v);
   trace::write(trace::MemKind::kProperty, &entries_.back(), sizeof(Entry));
 }
 

@@ -252,7 +252,6 @@ CpuProfiledRun run_cpu_profiled(const workloads::Workload& w,
   // push-style vertex-centric traversal; pin the engine accordingly so the
   // trace shapes (and therefore the derived metrics) stay comparable.
   ctx.traversal.direction = engine::Direction::kPush;
-  ctx.traversal.stealing = false;
 
   // Freeze before attaching the sink so snapshot construction does not
   // pollute the modeled access trace.
@@ -396,10 +395,9 @@ FrameworkTimeRun run_cpu_framework_time(const workloads::Workload& w,
   graph::PropertyGraph input = make_input_graph(w, bundle);
   workloads::RunContext ctx = make_cpu_context(w, input, bundle);
   // Figure 1 measures time inside framework primitives for the paper's
-  // push-style traversal; pull sweeps and chunk scheduling would shift the
-  // split, so pin the engine to the characterized configuration.
+  // push-style traversal; pull sweeps would shift the split, so pin the
+  // engine to the characterized configuration.
   ctx.traversal.direction = engine::Direction::kPush;
-  ctx.traversal.stealing = false;
 
   graph::fwk::set_accounting(true);
   graph::fwk::reset_thread_time();

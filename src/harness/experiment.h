@@ -172,8 +172,9 @@ struct CpuTimedRun {
 /// With Representation::kFrozen, workloads that support it traverse a
 /// snapshot frozen from the input graph (freeze time is excluded from the
 /// measured seconds); others fall back to the dynamic structure.
-/// `traversal` carries the frontier-engine knobs (direction mode, work
-/// stealing); the default is direction-optimizing auto with stealing on.
+/// `traversal` carries the frontier-engine direction mode; the default is
+/// direction-optimizing auto. Parallel runs always schedule chunks by work
+/// stealing.
 /// `layout` selects the snapshot's physical layout (applied at the initial
 /// freeze and preserved across churn refreshes) — frozen runs only.
 /// `backend` selects the frozen run's physical backend: kFrozen traverses

@@ -59,7 +59,6 @@ void RunReport::write_json(std::ostream& os,
   w.kv("representation", representation);
   w.kv("backend", backend.empty() ? representation : backend);
   w.kv("direction", direction);
-  w.kv("steal", stealing);
   w.kv("layout", layout.empty() ? "natural" : layout);
   w.kv("compress", compress);
   if (!refresh_mode.empty()) {

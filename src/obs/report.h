@@ -27,7 +27,6 @@ struct RunReport {
   std::string representation;  // "dynamic" / "frozen"
   std::string backend;         // "dynamic" / "frozen" / "disk"
   std::string direction;       // "push" / "pull" / "auto"
-  bool stealing = true;
   std::string layout = "natural";  // snapshot vertex order
   bool compress = false;           // delta-varint adjacency
   std::string refresh_mode;  // "" when no churn phase ran

@@ -59,6 +59,22 @@ void pin_to_core(unsigned core) {
 #endif
 }
 
+// A worker's remaining block [lo, hi), packed as (lo << 32) | hi so claims
+// and steals are single-word CAS.
+inline std::uint64_t pack_range(std::uint32_t lo, std::uint32_t hi) {
+  return (static_cast<std::uint64_t>(lo) << 32) | hi;
+}
+inline std::uint32_t range_lo(std::uint64_t r) {
+  return static_cast<std::uint32_t>(r >> 32);
+}
+inline std::uint32_t range_hi(std::uint64_t r) {
+  return static_cast<std::uint32_t>(r);
+}
+
+struct alignas(64) StealSlot {
+  std::atomic<std::uint64_t> range{0};
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads, bool pin_threads) {
@@ -134,45 +150,7 @@ void ThreadPool::run_on_all(const std::function<void(int, int)>& fn) {
   if (timed) pool_series().idle_ns.add(now_ns() - idle_start);
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn) {
-  if (begin >= end) return;
-  const std::size_t total = end - begin;
-  const int nt = num_threads();
-  if (nt == 1 || total < 2) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  run_on_all([&](int id, int n) {
-    const std::size_t chunk = (total + static_cast<std::size_t>(n) - 1) /
-                              static_cast<std::size_t>(n);
-    const std::size_t lo = begin + chunk * static_cast<std::size_t>(id);
-    const std::size_t hi = std::min(end, lo + chunk);
-    for (std::size_t i = lo; i < hi; ++i) fn(i);
-  });
-}
-
-namespace {
-
-// A worker's remaining block, packed (lo << 32) | hi-exclusive-of-nothing:
-// [lo, hi) with 32-bit halves so claims and steals are single-word CAS.
-inline std::uint64_t pack_range(std::uint32_t lo, std::uint32_t hi) {
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
-inline std::uint32_t range_lo(std::uint64_t r) {
-  return static_cast<std::uint32_t>(r >> 32);
-}
-inline std::uint32_t range_hi(std::uint64_t r) {
-  return static_cast<std::uint32_t>(r);
-}
-
-struct alignas(64) StealSlot {
-  std::atomic<std::uint64_t> range{0};
-};
-
-}  // namespace
-
-void ThreadPool::parallel_for_stealing(
+void ThreadPool::parallel_for(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& fn,
     std::uint64_t* stolen_chunks) {
@@ -275,28 +253,6 @@ void ThreadPool::parallel_for_stealing(
   if (stolen_chunks != nullptr) {
     *stolen_chunks = total_stolen;
   }
-}
-
-void ThreadPool::parallel_for_chunked(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (begin >= end) return;
-  if (grain == 0) grain = 1;
-  const int nt = num_threads();
-  if (nt == 1) {
-    for (std::size_t lo = begin; lo < end; lo += grain) {
-      fn(lo, std::min(end, lo + grain));
-    }
-    return;
-  }
-  std::atomic<std::size_t> cursor{begin};
-  run_on_all([&](int, int) {
-    for (;;) {
-      const std::size_t lo = cursor.fetch_add(grain);
-      if (lo >= end) break;
-      fn(lo, std::min(end, lo + grain));
-    }
-  });
 }
 
 }  // namespace graphbig::platform

@@ -80,8 +80,8 @@ struct QueryRecord {
 struct QueryFrontendOptions {
   int workers = 4;
   std::size_t queue_capacity = 256;
-  /// Engine knobs for per-query traversal (queries run single-threaded,
-  /// so stealing never engages; direction still matters).
+  /// Engine options for per-query traversal (queries run single-threaded
+  /// on their worker, so only the direction matters).
   engine::TraversalOptions traversal;
   /// Keep per-query records (the verification/report surface). Off drops
   /// them after metrics are recorded.

@@ -183,21 +183,12 @@ class BcentrWorkload final : public Workload {
     // Grain 1: one chunk per pivot, merged in pivot order so bc[s] is the
     // same ordered sum of per-pivot deltas the sequential loop produces.
     // Pivot BFS cost is wildly skewed (a hub pivot reaches the whole
-    // graph, a leaf pivot almost nothing), so pivots distribute by work
-    // stealing when enabled.
-    const bool parallel = ctx.pool != nullptr && ctx.pool->num_threads() > 1;
-    Accum accum;
-    if (parallel && ctx.traversal.stealing) {
-      std::uint64_t stolen = 0;
-      accum = ctx.pool->parallel_reduce_stealing(0, pivots.size(), 1,
-                                                 Accum{}, map, reduce,
-                                                 &stolen);
-      engine::record_stolen(ctx.telemetry, stolen);
-    } else {
-      accum = platform::parallel_reduce(parallel ? ctx.pool : nullptr, 0,
-                                        pivots.size(), 1, Accum{}, map,
-                                        reduce);
-    }
+    // graph, a leaf pivot almost nothing), so the pool's work stealing
+    // rebalances the pivots.
+    std::uint64_t stolen = 0;
+    Accum accum = platform::parallel_reduce(ctx.pool, 0, pivots.size(), 1,
+                                            Accum{}, map, reduce, &stolen);
+    engine::record_stolen(ctx.telemetry, stolen);
     if (accum.delta.empty()) accum.delta.assign(slots, 0.0);
     result.vertices_processed = accum.vertices;
     result.edges_processed = accum.edges;

@@ -98,16 +98,14 @@ class CcompWorkload final : public Workload {
   RunResult run(RunContext& ctx) const override {
     const graph::GraphView g = ctx.view();
     const std::size_t slots = g.slot_count();
-    const bool parallel = ctx.pool != nullptr && ctx.pool->num_threads() > 1;
-    platform::ThreadPool* pool = parallel ? ctx.pool : nullptr;
 
     std::vector<std::atomic<graph::VertexId>> label(slots);
     std::vector<std::atomic<std::uint64_t>> queued(slots);
-    init_labels(g, pool, &label, &queued);
+    init_labels(g, ctx.pool, &label, &queued);
 
     engine::TraversalOptions topt = ctx.traversal;
     topt.undirected = true;  // labels cross edges in both directions
-    engine::FrontierEngine eng(g, pool, topt, ctx.telemetry);
+    engine::FrontierEngine eng(g, ctx.pool, topt, ctx.telemetry);
     eng.activate_all_live();  // every live vertex starts active
 
     std::uint64_t round = 0;
@@ -170,7 +168,7 @@ class CcompWorkload final : public Workload {
       edges += eng.step(push, pull, cand).edges;
     }
 
-    return finalize(g, pool, label, edges);
+    return finalize(g, ctx.pool, label, edges);
   }
 
 };

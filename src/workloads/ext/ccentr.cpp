@@ -98,11 +98,10 @@ class CcentrWorkload final : public Workload {
       return p;
     };
 
-    const bool parallel = ctx.pool != nullptr && ctx.pool->num_threads() > 1;
     // Grain 1: one chunk per pivot, folded in pivot order so the sum of
     // closeness values matches the sequential loop exactly.
     Partial total = platform::parallel_reduce(
-        parallel ? ctx.pool : nullptr, 0, pivots.size(), 1, Partial{},
+        ctx.pool, 0, pivots.size(), 1, Partial{},
         [&](std::size_t lo, std::size_t) { return sssp(pivots[lo]); },
         [](Partial acc, Partial p) {
           acc.closeness += p.closeness;

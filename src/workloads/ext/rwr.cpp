@@ -35,8 +35,6 @@ class RwrWorkload final : public Workload {
     const std::size_t slots = g.slot_count();
     const graph::SlotIndex root_slot = g.slot_of(ctx.root);
     if (root_slot == graph::kInvalidSlot) return result;
-    const bool parallel = ctx.pool != nullptr && ctx.pool->num_threads() > 1;
-    platform::ThreadPool* pool = parallel ? ctx.pool : nullptr;
 
     // Transpose in CSR form. Built in slot order, so each vertex's in-edge
     // list — and therefore its gather sum order — is deterministic and the
@@ -70,7 +68,7 @@ class RwrWorkload final : public Workload {
       // Per-vertex outgoing share, plus the dangling mass (vertices with
       // no out-edges) folded in chunk order.
       const double dangling = platform::parallel_reduce(
-          pool, 0, slots, 256, 0.0,
+          ctx.pool, 0, slots, 256, 0.0,
           [&](std::size_t lo, std::size_t hi) {
             double local = 0.0;
             for (std::size_t s = lo; s < hi; ++s) {
@@ -94,7 +92,7 @@ class RwrWorkload final : public Workload {
 
       // Gather: each slot pulls from its in-edges in transpose order.
       edges += platform::parallel_reduce(
-          pool, 0, slots, 256, std::uint64_t{0},
+          ctx.pool, 0, slots, 256, std::uint64_t{0},
           [&](std::size_t lo, std::size_t hi) {
             std::uint64_t pulled = 0;
             for (std::size_t s = lo; s < hi; ++s) {

@@ -119,8 +119,8 @@ class KcoreWorkload final : public Workload {
     std::vector<std::uint32_t> core(slots, 0);
 
     // Parallel degree init over the slot table.
-    const std::size_t live = pool.parallel_reduce(
-        0, slots, 256, std::size_t{0},
+    const std::size_t live = platform::parallel_reduce(
+        &pool, 0, slots, 256, std::size_t{0},
         [&](std::size_t lo, std::size_t hi) {
           std::size_t n = 0;
           for (std::size_t s = lo; s < hi; ++s) {
@@ -181,8 +181,8 @@ class KcoreWorkload final : public Workload {
     }
 
     // Publish core numbers and accumulate the checksum sum.
-    const std::uint64_t core_sum = pool.parallel_reduce(
-        0, slots, 256, std::uint64_t{0},
+    const std::uint64_t core_sum = platform::parallel_reduce(
+        &pool, 0, slots, 256, std::uint64_t{0},
         [&](std::size_t lo, std::size_t hi) {
           std::uint64_t sum = 0;
           for (std::size_t s = lo; s < hi; ++s) {

@@ -137,18 +137,13 @@ class SpathWorkload final : public Workload {
     // queued[s] is set while s sits in some bucket worklist; the 0 -> 1
     // exchange on push keeps each vertex in at most one bucket.
     std::vector<std::atomic<std::uint8_t>> queued(slots);
-    pool.parallel_for_chunked(0, slots, 256,
-                              [&](std::size_t lo, std::size_t hi) {
-                                for (std::size_t s = lo; s < hi; ++s) {
-                                  dist[s].store(
-                                      s == root_slot ? 0.0 : kInf,
-                                      std::memory_order_relaxed);
-                                  done[s].store(0,
-                                                std::memory_order_relaxed);
-                                  queued[s].store(0,
-                                                  std::memory_order_relaxed);
-                                }
-                              });
+    pool.parallel_for(0, slots, 256, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t s = lo; s < hi; ++s) {
+        dist[s].store(s == root_slot ? 0.0 : kInf, std::memory_order_relaxed);
+        done[s].store(0, std::memory_order_relaxed);
+        queued[s].store(0, std::memory_order_relaxed);
+      }
+    });
 
     using Worklist = std::vector<graph::SlotIndex>;
     // Push of (bucket, slot) pairs gathered inside a relaxation round and
@@ -259,8 +254,8 @@ class SpathWorkload final : public Workload {
 
     // Publish final distances and count reached vertices.
     std::vector<double> final_dist(slots, kInf);
-    const std::uint64_t reached = pool.parallel_reduce(
-        0, slots, 256, std::uint64_t{0},
+    const std::uint64_t reached = platform::parallel_reduce(
+        &pool, 0, slots, 256, std::uint64_t{0},
         [&](std::size_t lo, std::size_t hi) {
           std::uint64_t n = 0;
           for (std::size_t s = lo; s < hi; ++s) {

@@ -5,7 +5,6 @@
 // arrays are "property-like" payloads, which the paper groups under
 // computation on rich properties (low DTLB penalty, centralized accesses).
 #include <algorithm>
-#include <atomic>
 
 #include "trace/access.h"
 #include "workloads/workload.h"
@@ -48,7 +47,6 @@ class TcWorkload final : public Workload {
 
     // Count: for each edge (u, v) with u < v, intersect forward[u] and
     // forward[v].
-    std::atomic<std::uint64_t> triangles{0};
     std::vector<std::uint64_t> per_vertex(slots, 0);
 
     auto count_vertex = [&](graph::SlotIndex u) {
@@ -91,20 +89,19 @@ class TcWorkload final : public Workload {
         }
       }
       per_vertex[u] = local;
-      triangles.fetch_add(local, std::memory_order_relaxed);
+      return local;
     };
 
-    if (ctx.pool != nullptr && ctx.pool->num_threads() > 1) {
-      ctx.pool->parallel_for_chunked(0, slots, 64,
-                                     [&](std::size_t lo, std::size_t hi) {
-                                       for (std::size_t s = lo; s < hi; ++s) {
-                                         count_vertex(
-                                             static_cast<graph::SlotIndex>(s));
-                                       }
-                                     });
-    } else {
-      for (graph::SlotIndex s = 0; s < slots; ++s) count_vertex(s);
-    }
+    const std::uint64_t triangles = platform::parallel_reduce(
+        ctx.pool, 0, slots, 64, std::uint64_t{0},
+        [&](std::size_t lo, std::size_t hi) {
+          std::uint64_t n = 0;
+          for (std::size_t s = lo; s < hi; ++s) {
+            n += count_vertex(static_cast<graph::SlotIndex>(s));
+          }
+          return n;
+        },
+        [](std::uint64_t a, std::uint64_t b) { return a + b; });
 
     // Publish per-vertex triangle counts.
     std::uint64_t processed = 0;
@@ -116,7 +113,7 @@ class TcWorkload final : public Workload {
 
     result.vertices_processed = processed;
     result.edges_processed = g.num_edges();
-    result.checksum = triangles.load();
+    result.checksum = triangles;
     return result;
   }
 };

@@ -94,10 +94,10 @@ struct RunContext {
     return graph::GraphView(*graph);
   }
 
-  /// Frontier-engine knobs for the level-synchronous workloads: traversal
-  /// direction (push / pull / auto), work stealing, chunk grain. Workloads
-  /// force the fields the algorithm dictates (e.g. undirected edge mass for
-  /// kCore/CComp) and pass the rest through.
+  /// Frontier-engine options for the level-synchronous workloads: the
+  /// traversal direction (push / pull / auto) and undirected edge mass.
+  /// Workloads force `undirected` where the algorithm dictates it (kCore,
+  /// CComp, ...) and pass the direction through.
   engine::TraversalOptions traversal;
   /// When set, the engine appends per-superstep telemetry here
   /// (direction taken, frontier occupancy, chunks stolen).

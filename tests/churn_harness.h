@@ -200,8 +200,7 @@ class ChurnParityHarness {
               return fail(round, batch)
                      << acronym << " parity mismatch on "
                      << (frozen ? "frozen" : "dynamic") << " direction="
-                     << engine::to_string(traversal.direction) << " steal="
-                     << (traversal.stealing ? "on" : "off")
+                     << engine::to_string(traversal.direction)
                      << " threads=" << threads << ": checksum "
                      << r.checksum << " (vertices "
                      << r.vertices_processed << ") vs reference "

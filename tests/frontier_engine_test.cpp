@@ -1,11 +1,9 @@
-// FrontierEngine and work-stealing scheduler tests: exactly-once index
-// coverage for ThreadPool::parallel_for_stealing, bit-identical stealing
-// reductions, sparse<->dense frontier round-trips, and checksum parity of
-// the engine-ported workloads across direction modes, backends, and
-// thread counts.
+// FrontierEngine tests: sparse<->dense frontier round-trips, checksum
+// parity of the engine-ported workloads across direction modes, backends,
+// and thread counts, superstep telemetry, and the direction heuristic.
+// The work-stealing scheduler itself is tested in platform_test.cpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -21,101 +19,6 @@ namespace {
 
 using graph::PropertyGraph;
 using graph::SlotIndex;
-
-// ---- ThreadPool::parallel_for_stealing ----
-
-TEST(ParallelForStealing, EveryIndexVisitedExactlyOnce) {
-  for (const int threads : {1, 4, 16}) {
-    platform::ThreadPool pool(threads);
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                                std::size_t{5}, std::size_t{1000},
-                                std::size_t{4097}}) {
-      for (const std::size_t grain : {std::size_t{1}, std::size_t{7},
-                                      std::size_t{64}, std::size_t{1024}}) {
-        std::vector<std::atomic<std::uint32_t>> hits(n);
-        for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-        pool.parallel_for_stealing(
-            0, n, grain, [&](std::size_t lo, std::size_t hi) {
-              for (std::size_t i = lo; i < hi; ++i) {
-                hits[i].fetch_add(1, std::memory_order_relaxed);
-              }
-            });
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(hits[i].load(), 1u)
-              << "index " << i << " with n=" << n << " grain=" << grain
-              << " threads=" << threads;
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelForStealing, NonZeroBeginCoversRange) {
-  platform::ThreadPool pool(4);
-  constexpr std::size_t kBegin = 13;
-  constexpr std::size_t kEnd = 2048;
-  std::vector<std::atomic<std::uint32_t>> hits(kEnd);
-  for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-  pool.parallel_for_stealing(kBegin, kEnd, 32,
-                             [&](std::size_t lo, std::size_t hi) {
-                               for (std::size_t i = lo; i < hi; ++i) {
-                                 hits[i].fetch_add(
-                                     1, std::memory_order_relaxed);
-                               }
-                             });
-  for (std::size_t i = 0; i < kEnd; ++i) {
-    ASSERT_EQ(hits[i].load(), i >= kBegin ? 1u : 0u) << "index " << i;
-  }
-}
-
-TEST(ParallelForStealing, SkewedWorkIsStolenAndStillExactlyOnce) {
-  platform::ThreadPool pool(16);
-  constexpr std::size_t kN = 2048;
-  // Worker 0's contiguous block gets all the heavy indices; the other
-  // workers drain their cheap blocks and must steal its remainder.
-  std::vector<std::atomic<std::uint32_t>> hits(kN);
-  for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-  std::uint64_t stolen = 0;
-  pool.parallel_for_stealing(
-      0, kN, 16,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (i < kN / 16) {
-            volatile std::uint64_t sink = 0;
-            for (std::uint64_t k = 0; k < 2000000; ++k) sink += k;
-          }
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-        }
-      },
-      &stolen);
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1u) << "index " << i;
-  }
-  EXPECT_GE(stolen, 1u);
-}
-
-TEST(ParallelReduceStealing, BitIdenticalAcrossThreadCounts) {
-  // Floating-point sum with content-dependent terms: chunk boundaries and
-  // ascending merge order make the result bit-identical at any pool size.
-  auto map = [](std::size_t lo, std::size_t hi) {
-    double s = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      s += 1.0 / static_cast<double>(i + 1);
-    }
-    return s;
-  };
-  auto reduce = [](double a, double b) { return a + b; };
-
-  platform::ThreadPool seq(1);
-  const double reference =
-      seq.parallel_reduce_stealing(0, 100000, 64, 0.0, map, reduce);
-  for (const int threads : {4, 16}) {
-    platform::ThreadPool pool(threads);
-    const double r =
-        pool.parallel_reduce_stealing(0, 100000, 64, 0.0, map, reduce);
-    EXPECT_EQ(reference, r) << threads << " threads";
-  }
-}
 
 // ---- Frontier representation round-trips ----
 
@@ -339,35 +242,6 @@ TEST(EngineParity, DCentrAcrossBackendsThreads) {
   expect_engine_parity(workloads::dcentr(), kAutoOnly);
 }
 
-TEST(EngineParity, StealingOnOffSameChecksums) {
-  datagen::RmatConfig cfg;
-  cfg.scale = 10;
-  cfg.edge_factor = 8;
-  const datagen::EdgeList el = generate_rmat(cfg);
-  for (const workloads::Workload* w :
-       {&workloads::bfs(), &workloads::ccomp()}) {
-    std::uint64_t reference = 0;
-    bool first = true;
-    for (const bool steal : {true, false}) {
-      PropertyGraph g = datagen::build_property_graph(el);
-      platform::ThreadPool pool(8);
-      workloads::RunContext ctx;
-      ctx.graph = &g;
-      ctx.root = 0;
-      ctx.seed = 7;
-      ctx.pool = &pool;
-      ctx.traversal.stealing = steal;
-      const workloads::RunResult r = w->run(ctx);
-      if (first) {
-        reference = r.checksum;
-        first = false;
-      } else {
-        EXPECT_EQ(r.checksum, reference) << w->acronym();
-      }
-    }
-  }
-}
-
 TEST(EngineTelemetry, RecordsSuperstepsAndDirections) {
   datagen::RmatConfig cfg;
   cfg.scale = 10;
@@ -394,11 +268,11 @@ TEST(EngineTelemetry, RecordsSuperstepsAndDirections) {
 
 TEST(FrontierEngine, UsePullStepMatchesBeamerThreshold) {
   using engine::Direction;
-  EXPECT_TRUE(engine::use_pull_step(Direction::kPull, 0, 12.0, 1000));
-  EXPECT_FALSE(engine::use_pull_step(Direction::kPush, 1000, 12.0, 1000));
-  // Auto: pull once frontier mass * alpha exceeds the total edge mass.
-  EXPECT_FALSE(engine::use_pull_step(Direction::kAuto, 83, 12.0, 1000));
-  EXPECT_TRUE(engine::use_pull_step(Direction::kAuto, 84, 12.0, 1000));
+  EXPECT_TRUE(engine::use_pull_step(Direction::kPull, 0, 1000));
+  EXPECT_FALSE(engine::use_pull_step(Direction::kPush, 1000, 1000));
+  // Auto: pull once frontier mass * alpha (12) exceeds the total edge mass.
+  EXPECT_FALSE(engine::use_pull_step(Direction::kAuto, 83, 1000));
+  EXPECT_TRUE(engine::use_pull_step(Direction::kAuto, 84, 1000));
 }
 
 }  // namespace

@@ -360,7 +360,6 @@ TEST(RunReport, GoldenSchemaRoundTrip) {
   report.representation = "frozen";
   report.backend = "disk";
   report.direction = "auto";
-  report.stealing = true;
   report.layout = "degree";
   report.compress = true;
   report.pool_pages = 8;
@@ -396,7 +395,7 @@ TEST(RunReport, GoldenSchemaRoundTrip) {
   for (const char* path :
        {"schema", "workload", "dataset", "scale", "config.threads",
         "config.representation", "config.backend", "config.direction",
-        "config.steal", "config.layout", "config.compress",
+        "config.layout", "config.compress",
         "config.refresh_mode", "config.churn.batches", "config.churn.ops",
         "config.churn.seed", "config.pool_pages", "snapshot.path",
         "snapshot.format", "snapshot.version", "snapshot.checksum",
@@ -416,6 +415,8 @@ TEST(RunReport, GoldenSchemaRoundTrip) {
   EXPECT_EQ(doc.find_path("config.backend")->str, "disk");
   // Only one execution engine exists, so the config carries no engine axis.
   EXPECT_EQ(doc.find_path("config")->find("engine"), nullptr);
+  // Every parallel loop steals work, so the config carries no steal axis.
+  EXPECT_EQ(doc.find_path("config")->find("steal"), nullptr);
   EXPECT_EQ(doc.find_path("snapshot.format")->str, "graphbig.snap.v1");
   EXPECT_EQ(doc.find_path("snapshot.checksum")->str, "9223372036854775815");
   EXPECT_EQ(doc.find_path("config.threads")->number, 4.0);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -175,27 +177,60 @@ TEST(Arena, ResetReleases) {
 
 // ---- ThreadPool ----
 
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, 1000, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+// Runs pool.parallel_for over [begin, end) with the given grain and checks
+// that every index in the range was visited exactly once and no index
+// outside it was touched. Indices below `heavy_end` spin before they are
+// marked, so the worker owning them falls behind and must be robbed.
+// Returns the number of stolen chunks.
+std::uint64_t expect_exactly_once(ThreadPool& pool, std::size_t begin,
+                                  std::size_t end, std::size_t grain,
+                                  std::size_t heavy_end = 0) {
+  std::vector<std::atomic<std::uint32_t>> hits(end + 8);
+  for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+  std::uint64_t stolen = 0;
+  pool.parallel_for(
+      begin, end, grain,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          if (i < heavy_end) {
+            volatile std::uint64_t sink = 0;
+            for (std::uint64_t k = 0; k < 2000000; ++k) sink = sink + k;
+          }
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        }
+      },
+      &stolen);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    const std::uint32_t want = (i >= begin && i < end) ? 1u : 0u;
+    EXPECT_EQ(hits[i].load(), want)
+        << "index " << i << " of [" << begin << ", " << end
+        << ") grain=" << grain << " threads=" << pool.num_threads();
+    if (hits[i].load() != want) break;
+  }
+  return stolen;
 }
 
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  int count = 0;
-  pool.parallel_for(5, 5, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count, 0);
-}
-
-TEST(ThreadPool, ChunkedCoversRangeOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(777);
-  pool.parallel_for_chunked(0, 777, 13, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(ThreadPool, ParallelForVisitsEveryIndexExactlyOnce) {
+  for (const int threads : {1, 4, 16}) {
+    ThreadPool pool(threads);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{5}, std::size_t{1000},
+                                std::size_t{4097}}) {
+      for (const std::size_t grain : {std::size_t{1}, std::size_t{7},
+                                      std::size_t{64}, std::size_t{1024}}) {
+        expect_exactly_once(pool, 0, n, grain);
+      }
+    }
+    // Odd grains, a non-zero begin, and an empty range away from zero.
+    expect_exactly_once(pool, 0, 777, 13);
+    expect_exactly_once(pool, 13, 2048, 32);
+    expect_exactly_once(pool, 5, 5, 16);
+  }
+  // Skewed work: worker 0's block holds every heavy index, so the other
+  // workers drain their cheap blocks and steal its remainder — and still
+  // visit each index exactly once.
+  ThreadPool pool(16);
+  EXPECT_GE(expect_exactly_once(pool, 0, 2048, 16, 2048 / 16), 1u);
 }
 
 TEST(ThreadPool, RunOnAllGivesDistinctIds) {
@@ -209,18 +244,23 @@ TEST(ThreadPool, RunOnAllGivesDistinctIds) {
 }
 
 TEST(ThreadPool, SingleThreadFallback) {
+  // A single-thread pool runs the chunks on the caller, in order.
   ThreadPool pool(1);
-  int sum = 0;
-  pool.parallel_for(0, 10, [&](std::size_t i) { sum += static_cast<int>(i); });
-  EXPECT_EQ(sum, 45);
+  std::vector<std::size_t> starts;
+  pool.parallel_for(0, 10, 3, [&](std::size_t lo, std::size_t) {
+    starts.push_back(lo);
+  });
+  EXPECT_EQ(starts, (std::vector<std::size_t>{0, 3, 6, 9}));
 }
 
 TEST(ThreadPool, ReusableAcrossCalls) {
   ThreadPool pool(4);
   for (int round = 0; round < 20; ++round) {
-    std::atomic<int> count{0};
-    pool.parallel_for(0, 100, [&](std::size_t) { count.fetch_add(1); });
-    ASSERT_EQ(count.load(), 100);
+    std::atomic<std::size_t> count{0};
+    pool.parallel_for(0, 100, 3, [&](std::size_t lo, std::size_t hi) {
+      count.fetch_add(hi - lo);
+    });
+    ASSERT_EQ(count.load(), 100u);
   }
 }
 
@@ -281,8 +321,8 @@ TEST(Timer, FormatDuration) {
 
 TEST(ParallelReduce, SumsRange) {
   ThreadPool pool(4);
-  const std::uint64_t sum = pool.parallel_reduce(
-      0, 1000, 64, std::uint64_t{0},
+  const std::uint64_t sum = parallel_reduce(
+      &pool, 0, 1000, 64, std::uint64_t{0},
       [](std::size_t lo, std::size_t hi) {
         std::uint64_t s = 0;
         for (std::size_t i = lo; i < hi; ++i) s += i;
@@ -294,8 +334,8 @@ TEST(ParallelReduce, SumsRange) {
 
 TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
   ThreadPool pool(2);
-  const int v = pool.parallel_reduce(
-      5, 5, 16, 42, [](std::size_t, std::size_t) { return 0; },
+  const int v = parallel_reduce(
+      &pool, 5, 5, 16, 42, [](std::size_t, std::size_t) { return 0; },
       [](int a, int b) { return a + b; });
   EXPECT_EQ(v, 42);
 }
@@ -303,15 +343,16 @@ TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
 TEST(ParallelReduce, FloatSumIsBitIdenticalAcrossThreadCounts) {
   // Chunk boundaries depend only on the grain and partials merge in
   // ascending chunk order, so even a non-associative floating-point sum
-  // is bit-identical for any worker count (this is what keeps workload
-  // checksums thread-count-invariant).
-  std::vector<double> values(10000);
+  // is bit-identical for any worker count and whichever worker steals
+  // which chunk (this is what keeps workload checksums
+  // thread-count-invariant).
+  std::vector<double> values(100000);
   Xoshiro256 rng(99);
   for (double& v : values) v = rng.uniform() * 1e6 - 5e5;
 
   auto run = [&](ThreadPool* pool) {
     return parallel_reduce(
-        pool, 0, values.size(), 128, 0.0,
+        pool, 0, values.size(), 64, 0.0,
         [&](std::size_t lo, std::size_t hi) {
           double s = 0.0;
           for (std::size_t i = lo; i < hi; ++i) s += values[i];
@@ -321,7 +362,7 @@ TEST(ParallelReduce, FloatSumIsBitIdenticalAcrossThreadCounts) {
   };
 
   const double serial = run(nullptr);
-  for (const int threads : {1, 2, 4, 8}) {
+  for (const int threads : {1, 2, 4, 8, 16}) {
     ThreadPool pool(threads);
     const double parallel = run(&pool);
     // Bit equality, not near-equality.
@@ -331,16 +372,39 @@ TEST(ParallelReduce, FloatSumIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelReduce, MergesInChunkOrder) {
+  // Chunk 0 is the slowest: it waits until every other chunk has finished,
+  // so it completes last (the other workers steal its block-mate). The
+  // merge must still come out in ascending chunk order.
+  constexpr std::size_t kGrain = 7;
+  constexpr std::size_t kChunks = 6;
   ThreadPool pool(4);
-  const std::vector<std::size_t> order = pool.parallel_reduce(
-      0, 40, 7, std::vector<std::size_t>{},
-      [](std::size_t lo, std::size_t) {
+  std::mutex mu;
+  std::vector<std::size_t> finished;
+  std::atomic<std::size_t> done{0};
+  const std::vector<std::size_t> order = parallel_reduce(
+      &pool, 0, 40, kGrain, std::vector<std::size_t>{},
+      [&](std::size_t lo, std::size_t) {
+        if (lo == 0) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(30);
+          while (done.load() < kChunks - 1 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+        }
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          finished.push_back(lo / kGrain);
+        }
+        done.fetch_add(1);
         return std::vector<std::size_t>{lo};
       },
       [](std::vector<std::size_t> acc, std::vector<std::size_t> p) {
         acc.insert(acc.end(), p.begin(), p.end());
         return acc;
       });
+  ASSERT_EQ(finished.size(), kChunks);
+  EXPECT_EQ(finished.back(), 0u) << "chunk 0 did not complete last";
   const std::vector<std::size_t> expected{0, 7, 14, 21, 28, 35};
   EXPECT_EQ(order, expected);
 }

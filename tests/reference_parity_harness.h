@@ -314,8 +314,7 @@ class ReferenceParityHarness {
            << graph::to_string(layout.order) << " compress="
            << (layout.compress ? "on" : "off") << " backend="
            << (on_disk ? "disk" : "frozen") << " direction="
-           << engine::to_string(traversal.direction) << " steal="
-           << (traversal.stealing ? "on" : "off") << " threads=" << threads
+           << engine::to_string(traversal.direction) << " threads=" << threads
            << "]\n";
   }
 

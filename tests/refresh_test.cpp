@@ -431,7 +431,7 @@ TEST(ChurnParityTest, TenWorkloadsAcrossThreadCounts) {
   EXPECT_TRUE(h.run());
 }
 
-TEST(ChurnParityTest, DirectionStealMatrix) {
+TEST(ChurnParityTest, DirectionMatrix) {
   test::ChurnParityConfig cfg;
   cfg.seed = 23;
   cfg.rounds = kTsan ? 1 : 2;
@@ -444,12 +444,9 @@ TEST(ChurnParityTest, DirectionStealMatrix) {
   for (const engine::Direction d :
        {engine::Direction::kPush, engine::Direction::kPull,
         engine::Direction::kAuto}) {
-    for (const bool steal : {true, false}) {
-      engine::TraversalOptions t;
-      t.direction = d;
-      t.stealing = steal;
-      cfg.traversals.push_back(t);
-    }
+    engine::TraversalOptions t;
+    t.direction = d;
+    cfg.traversals.push_back(t);
   }
   test::ChurnParityHarness h(tiny_ldbc(), cfg);
   EXPECT_TRUE(h.run());

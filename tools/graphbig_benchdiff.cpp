@@ -66,13 +66,17 @@ std::string field_or(const JsonValue& v, const char* path,
 /// Identity key: the axes that make two runs comparable.
 std::string run_key(const JsonValue& run) {
   std::string key = field_or(run, "workload", "?");
-  key += "|" + field_or(run, "dataset", "?");
-  key += "|" + field_or(run, "scale", "?");
+  auto append = [&](const char* path, const char* fallback) {
+    key += '|';
+    key += field_or(run, path, fallback);
+  };
+  append("dataset", "?");
+  append("scale", "?");
   for (const char* axis :
        {"config.threads", "config.representation", "config.backend",
         "config.direction", "config.layout", "config.compress",
         "config.refresh_mode"}) {
-    key += "|" + field_or(run, axis, "-");
+    append(axis, "-");
   }
   return key;
 }

@@ -43,8 +43,6 @@ void print_usage() {
   --direction push|pull|auto   traversal direction for frontier-engine
                          workloads (default: auto = per-superstep
                          direction-optimizing choice)
-  --steal on|off         work-stealing for degree-weighted edge chunks
-                         (default: on)
   --layout natural|degree|rcm   frozen-snapshot vertex placement: natural
                          slot order, hub-clustering degree sort, or
                          RCM-lite BFS bands (default: natural; results are
@@ -183,16 +181,6 @@ int main(int argc, char** argv) {
       if (!engine::parse_direction(d, &traversal.direction)) {
         std::cerr << "unknown direction: " << d
                   << " (expected push, pull, or auto)\n";
-        return 2;
-      }
-    } else if (arg == "--steal") {
-      const std::string s = next();
-      if (s == "on") {
-        traversal.stealing = true;
-      } else if (s == "off") {
-        traversal.stealing = false;
-      } else {
-        std::cerr << "--steal expects on or off\n";
         return 2;
       }
     } else if (arg == "--layout") {
@@ -470,7 +458,6 @@ int main(int argc, char** argv) {
   if (refresh_given && churn.batches == 0) churn.batches = 4;
   std::cout << "run config: direction="
             << engine::to_string(traversal.direction)
-            << " steal=" << (traversal.stealing ? "on" : "off")
             << " representation=" << harness::to_string(representation)
             << " backend="
             << (ran_frozen ? harness::to_string(backend) : "dynamic")
@@ -536,7 +523,6 @@ int main(int argc, char** argv) {
       report.snapshot_checksum = bundle.snapshot_checksum;
     }
     report.direction = engine::to_string(traversal.direction);
-    report.stealing = traversal.stealing;
     report.layout = graph::to_string(layout.order);
     report.compress = layout.compress;
     if (churn.batches > 0) {
