@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
         engine::TraversalOptions traversal;
         traversal.direction = d;
         const auto r = harness::run_cpu_timed(
-            *w, bundle, threads, harness::Representation::kDynamic,
+            *w, bundle, threads, harness::Backend::kDynamic,
             traversal);
         if (first) {
           reference = r.run.checksum;

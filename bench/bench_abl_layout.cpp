@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
     std::uint64_t base_sum = 0;
     for (const auto& c : cases) {
       const auto r = harness::run_cpu_profiled(
-          *w, b, {}, harness::Representation::kFrozen, c.layout);
+          *w, b, {}, harness::Backend::kFrozen, c.layout);
       if (c.layout.natural_raw()) {
         base_sum = r.run.checksum;
       } else if (r.run.checksum != base_sum) {
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
         harness::CpuTimedRun best;
         for (int rep = 0; rep < reps; ++rep) {
           auto r = harness::run_cpu_timed(
-              *w, b, threads, harness::Representation::kFrozen, {},
+              *w, b, threads, harness::Backend::kFrozen, {},
               harness::RefreshMode::kFull, {}, c.layout);
           if (rep == 0 || r.seconds < secs) {
             secs = r.seconds;
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
         report.dataset = dname;
         report.scale = bench::scale_name(args.scale);
         report.threads = threads;
-        report.representation = "frozen";
+        report.backend = "frozen";
         report.direction = "auto";
         report.layout = graph::to_string(c.layout.order);
         report.compress = c.layout.compress;

@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
     // frozen layout's cache/TLB behavior between the raw CSR prototype
     // and the dynamic framework (ROADMAP "snapshot-backed profiled runs").
     const auto fz = harness::run_cpu_profiled(
-        *w, b, {}, harness::Representation::kFrozen);
+        *w, b, {}, harness::Backend::kFrozen);
     t.add_row({c.name, "CSR prototype", harness::fmt(proto.l1d_mpki, 1),
                harness::fmt(proto.l3_mpki, 1),
                harness::fmt(proto.dtlb_penalty_pct, 1),
@@ -127,9 +127,9 @@ int main(int argc, char** argv) {
     harness::CpuTimedRun best_dyn, best_fro;
     for (int rep = 0; rep < kReps; ++rep) {
       auto d = harness::run_cpu_timed(
-          *w, b, kThreads, harness::Representation::kDynamic);
+          *w, b, kThreads, harness::Backend::kDynamic);
       auto f = harness::run_cpu_timed(
-          *w, b, kThreads, harness::Representation::kFrozen);
+          *w, b, kThreads, harness::Backend::kFrozen);
       if (rep == 0 || d.seconds < dyn_s) best_dyn = d;
       if (rep == 0 || f.seconds < fro_s) best_fro = f;
       dyn_s = rep == 0 ? d.seconds : std::min(dyn_s, d.seconds);
@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
       report.dataset = "ldbc";
       report.scale = bench::scale_name(args.scale);
       report.threads = kThreads;
-      report.representation = r == &best_dyn ? "dynamic" : "frozen";
+      report.backend = r == &best_dyn ? "dynamic" : "frozen";
       report.direction = "auto";
       report.seconds = r->seconds;
       report.checksum = r->run.checksum;

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph_view.h"
@@ -31,24 +32,27 @@ inline constexpr std::uint64_t kEdgeGrain = 2048;
 
 /// Chunk weight of one frontier entry on a push-style expansion: degree
 /// + 1 (an isolated vertex still costs one frontier-entry touch).
-inline std::uint64_t push_weight(const graph::GraphView& g,
-                                 graph::SlotIndex s, bool undirected) {
+template <typename View>
+std::uint64_t push_weight(const View& g, graph::SlotIndex s,
+                          bool undirected) {
   return 1 + g.out_degree(s) + (undirected ? g.in_degree(s) : 0);
 }
 
 /// Chunk weight of one candidate row on a pull-style probe.
-inline std::uint64_t pull_weight(const graph::GraphView& g,
-                                 graph::SlotIndex s, bool undirected) {
+template <typename View>
+std::uint64_t pull_weight(const View& g, graph::SlotIndex s,
+                          bool undirected) {
   return 1 + g.in_degree(s) + (undirected ? g.out_degree(s) : 0);
 }
 
 /// Cuts an explicit slot list into chunks of ~kEdgeGrain push weight.
 /// Returns the list's total edge mass (degrees only — the input to the
 /// push/pull direction heuristic).
-inline std::uint64_t frontier_bounds(const graph::GraphView& g,
-                                     const std::vector<graph::SlotIndex>& list,
-                                     bool undirected,
-                                     std::vector<std::size_t>* bounds) {
+template <typename View>
+std::uint64_t frontier_bounds(const View& g,
+                              const std::vector<graph::SlotIndex>& list,
+                              bool undirected,
+                              std::vector<std::size_t>* bounds) {
   bounds->clear();
   bounds->push_back(0);
   std::uint64_t mass = 0;
@@ -67,15 +71,14 @@ inline std::uint64_t frontier_bounds(const graph::GraphView& g,
 }
 
 /// Cuts the whole slot space [0, slots) into ~kEdgeGrain pull-weight
-/// chunks. On the frozen/disk backends the CSR row-pointer prefixes give
-/// chunk boundaries by binary search; the dynamic backend walks degrees
-/// once.
-inline std::vector<std::size_t> slot_space_bounds(const graph::GraphView& g,
-                                                  std::size_t slots,
-                                                  bool undirected) {
+/// chunks. On the frozen views the CSR row-pointer prefixes give chunk
+/// boundaries by binary search; the dynamic view walks degrees once.
+template <typename View>
+std::vector<std::size_t> slot_space_bounds(const View& g, std::size_t slots,
+                                           bool undirected) {
   std::vector<std::size_t> bounds;
   bounds.push_back(0);
-  if (g.has_degree_prefix()) {
+  if constexpr (!std::is_same_v<View, graph::DynamicView>) {
     auto weight_before = [&](std::size_t s) -> std::uint64_t {
       const auto slot = static_cast<graph::SlotIndex>(s);
       return g.in_prefix(slot) + (undirected ? g.out_prefix(slot) : 0) + s;

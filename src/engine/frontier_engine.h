@@ -218,11 +218,15 @@ struct StepResult {
   std::uint64_t stolen = 0;   // chunks stolen while scheduling
 };
 
+/// Templated over the concrete view (graph::DynamicView, SnapshotView or
+/// DiskView) the workload visited, so the engine's degree queries and the
+/// kernels it drives compile against one backend.
+template <typename View>
 class FrontierEngine {
  public:
   /// `pool` may be null (sequential). `telemetry` may be null; it is
   /// caller-owned and appended to across the engine's lifetime.
-  FrontierEngine(const graph::GraphView& g, platform::ThreadPool* pool,
+  FrontierEngine(const View& g, platform::ThreadPool* pool,
                  TraversalOptions opts = {},
                  TraversalTelemetry* telemetry = nullptr)
       : g_(g),
@@ -239,7 +243,6 @@ class FrontierEngine {
   }
 
   const TraversalOptions& options() const { return opts_; }
-  const graph::GraphView& view() const { return g_; }
 
   /// Empties the frontier and restarts the superstep counter (telemetry
   /// keeps accumulating; BCentr reuses one engine across pivots).
@@ -503,7 +506,7 @@ class FrontierEngine {
     ++step_;
   }
 
-  graph::GraphView g_;
+  View g_;
   platform::ThreadPool* pool_;
   TraversalOptions opts_;
   TraversalTelemetry* tel_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "graph/graph_view.h"
+
 namespace graphbig::graph {
 
 Csr build_csr(const PropertyGraph& graph) {
@@ -96,10 +98,11 @@ Csr build_csr(const GraphSnapshot& snapshot) {
 
   // The snapshot keeps the dynamic graph's per-vertex edge order; the
   // device CSR wants rows sorted by destination (the TC intersection
-  // kernels require it). Rows are decoded through for_each_out rather
-  // than out_row(): a compressed (layouted) snapshot has no raw storage
+  // kernels require it). Rows are decoded through the view's for_each_out
+  // rather than out_row(): a compressed (layouted) snapshot has no raw storage
   // for encoded rows, and the stored values are logical slot ids under
   // every layout.
+  const SnapshotView view(snapshot);
   std::vector<std::uint32_t> dst;
   std::vector<double> w;
   for (std::uint32_t v = 0; v < csr.num_vertices; ++v) {
@@ -110,7 +113,7 @@ Csr build_csr(const GraphSnapshot& snapshot) {
     w.clear();
     dst.reserve(deg);
     w.reserve(deg);
-    snapshot.for_each_out(row, [&](std::uint32_t t, double weight) {
+    view.for_each_out(row, [&](std::uint32_t t, double weight) {
       dst.push_back(t);
       w.push_back(weight);
     });

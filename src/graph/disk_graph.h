@@ -84,25 +84,10 @@ class DiskGraph {
   const std::uint64_t* in_ptr() const { return in_ptr_; }
   const VertexId* orig_id() const { return orig_id_; }
 
-  /// Calls fn(target row, weight) per out-edge of v, in stored order,
-  /// streaming the payload through the buffer pool.
-  template <typename Fn>
-  void for_each_out(std::uint32_t v, Fn&& fn) const {
-    for_each_out_until(v, [&](std::uint32_t t, double w) {
-      fn(t, w);
-      return true;
-    });
-  }
-
-  template <typename Fn>
-  void for_each_in(std::uint32_t v, Fn&& fn) const {
-    for_each_in_until(v, [&](std::uint32_t s) {
-      fn(s);
-      return true;
-    });
-  }
-
-  /// Early-terminating variants: fn returns bool, false stops.
+  /// Row walks: fn(target row, weight) per out-edge / fn(source row) per
+  /// in-edge of v, in stored order, streaming the payload through the
+  /// buffer pool. fn returns bool; false stops the walk. graph::FrozenView
+  /// builds its run-to-end walks on these.
   template <typename Fn>
   void for_each_out_until(std::uint32_t v, Fn&& fn) const {
     const std::uint64_t deg = out_ptr_[v + 1] - out_ptr_[v];

@@ -1,29 +1,36 @@
-// GraphView: one traversal interface over three graph representations.
+// Graph views: one traversal interface, compiled once per backend.
 //
-// The analytic workloads traverse graphs exclusively through this view,
-// which dispatches each call to one of
+// The analytic workloads traverse graphs exclusively through a view over
+// one of
 //
 //   * the dynamic vertex-centric PropertyGraph (pointer-chasing adjacency,
-//     slot-cached target resolution, per-vertex PropertyMaps),
+//     slot-cached target resolution, per-vertex PropertyMaps) — DynamicView,
 //   * a frozen GraphSnapshot (contiguous out/in-CSR, dense property
-//     columns), or
+//     columns) — SnapshotView, or
 //   * an out-of-core DiskGraph (the same CSR served from an mmap'd
-//     graphbig.snap.v1 file through a fixed-size buffer pool).
+//     graphbig.snap.v1 file through a fixed-size buffer pool) — DiskView.
 //
-// The backend branch happens once per traversal call, not per edge, so the
-// inner loops stay tight on both paths. All indices exposed by the view
-// are SlotIndex values on BOTH paths: the snapshot keeps one row per
-// dynamic slot (dead slots become dead rows), so the index spaces are
-// identical — tombstones or not — and workloads produce bit-identical
-// results on either backend, including after churn followed by an
-// incremental refresh. That is the dynamic-vs-frozen parity the
-// representation ablation, snapshot tests, and churn harness assert — and
-// because DiskGraph preserves the snapshot's row space and edge order
-// byte-for-byte, the same parity holds for the disk backend (the
-// disk-vs-frozen checksum gate).
+// SnapshotView and DiskView are one template, FrozenView<Store>: the two
+// stores expose the same method names, and each keeps only its
+// early-terminating row walks; the run-to-end walks are defined once here.
+//
+// GraphView is the handle a RunContext hands out: a variant of the three
+// concrete views. The backend is chosen once per run, by one visit() at
+// workload entry; the kernel body is instantiated per concrete view, so no
+// traversal call branches on the backend.
+//
+// All indices exposed by the views are SlotIndex values: the snapshot keeps
+// one row per dynamic slot (dead slots become dead rows), so the index
+// spaces are identical — tombstones or not — and workloads produce
+// bit-identical results on every backend, including after churn followed
+// by an incremental refresh. DiskGraph preserves the snapshot's row space
+// and edge order byte-for-byte, so the same parity holds for the disk
+// backend (the disk-vs-frozen checksum gate).
 #pragma once
 
 #include <cstdint>
+#include <utility>
+#include <variant>
 
 #include "graph/disk_graph.h"
 #include "graph/property_graph.h"
@@ -31,81 +38,34 @@
 
 namespace graphbig::graph {
 
-class GraphView {
+/// View over the dynamic PropertyGraph. Algorithm state goes to the
+/// per-vertex PropertyMaps.
+class DynamicView {
  public:
-  GraphView() = default;
-  explicit GraphView(PropertyGraph& g) : graph_(&g) {}
-  explicit GraphView(const GraphSnapshot& s) : snap_(&s) {}
-  explicit GraphView(const DiskGraph& d) : disk_(&d) {}
+  explicit DynamicView(PropertyGraph& g) : graph_(&g) {}
 
-  /// Frozen view whose algorithm state lives in a caller-owned column set
-  /// instead of the snapshot's shared one. This is the serving path:
-  /// concurrent queries pin ONE immutable snapshot and each brings private
-  /// columns, so set_int/set_double never race across requests. `columns`
-  /// must be sized to s.row_count() and outlive the view.
-  GraphView(const GraphSnapshot& s, PropertyColumns* columns)
-      : snap_(&s), cols_(columns) {}
-  GraphView(const DiskGraph& d, PropertyColumns* columns)
-      : disk_(&d), cols_(columns) {}
+  /// Size of the slot space: slot table size, tombstones included.
+  /// Workloads size their per-slot state arrays from this.
+  std::size_t slot_count() const { return graph_->slot_count(); }
+  std::size_t num_vertices() const { return graph_->num_vertices(); }
+  std::size_t num_edges() const { return graph_->num_edges(); }
 
-  /// True for the CSR-backed backends (snapshot or disk): slot space is
-  /// row space, algorithm state lives in dense columns.
-  bool frozen() const { return snap_ != nullptr || disk_ != nullptr; }
-  /// True when edges are served out-of-core through a buffer pool.
-  bool disk() const { return disk_ != nullptr; }
-
-  /// Size of the slot space: slot table size (dynamic, tombstones
-  /// included) or row count (frozen, dead rows included — the snapshot
-  /// keeps one row per dynamic slot). Workloads size their per-slot state
-  /// arrays from this.
-  std::size_t slot_count() const {
-    if (snap_ != nullptr) return snap_->row_count();
-    if (disk_ != nullptr) return disk_->row_count();
-    return graph_->slot_count();
-  }
-
-  std::size_t num_vertices() const {
-    if (snap_ != nullptr) return snap_->num_vertices();
-    if (disk_ != nullptr) return disk_->num_vertices();
-    return graph_->num_vertices();
-  }
-  std::size_t num_edges() const {
-    if (snap_ != nullptr) return snap_->num_edges();
-    if (disk_ != nullptr) return disk_->num_edges();
-    return graph_->num_edges();
-  }
-
-  /// True when slot s holds a live vertex (frozen dead rows mirror the
-  /// dynamic tombstones they froze from).
-  bool is_live(SlotIndex s) const {
-    if (snap_ != nullptr) return s < snap_->row_count() && snap_->is_live(s);
-    if (disk_ != nullptr) return s < disk_->row_count() && disk_->is_live(s);
-    return graph_->vertex_at(s) != nullptr;
-  }
+  /// True when slot s holds a live vertex.
+  bool is_live(SlotIndex s) const { return graph_->vertex_at(s) != nullptr; }
 
   VertexId id_of(SlotIndex s) const {
-    if (snap_ != nullptr) return snap_->id_of(s);
-    if (disk_ != nullptr) return disk_->id_of(s);
     const VertexRecord* v = graph_->vertex_at(s);
     return v == nullptr ? kInvalidVertex : v->id;
   }
 
   /// Slot of a live vertex id, kInvalidSlot when absent.
-  SlotIndex slot_of(VertexId id) const {
-    if (snap_ != nullptr) return snap_->slot_of(id);
-    if (disk_ != nullptr) return disk_->slot_of(id);
-    return graph_->slot_of(id);
-  }
+  SlotIndex slot_of(VertexId id) const { return graph_->slot_of(id); }
 
   std::size_t out_degree(SlotIndex s) const {
-    if (snap_ != nullptr) return snap_->out_degree(s);
-    if (disk_ != nullptr) return disk_->out_degree(s);
     const VertexRecord* v = graph_->vertex_at(s);
     return v == nullptr ? 0 : v->out.size();
   }
   std::size_t in_degree(SlotIndex s) const {
-    if (snap_ != nullptr) return snap_->in_degree(s);
-    if (disk_ != nullptr) return disk_->in_degree(s);
     const VertexRecord* v = graph_->vertex_at(s);
     return v == nullptr ? 0 : v->in.size();
   }
@@ -116,158 +76,196 @@ class GraphView {
   }
 
   /// Calls fn(SlotIndex target, double weight) for each out-edge of s, in
-  /// identical edge order on both backends.
+  /// the same edge order as the frozen views.
   template <typename Fn>
   void for_each_out(SlotIndex s, Fn&& fn) const {
-    if (snap_ != nullptr) {
-      snap_->for_each_out(s, fn);
-      return;
-    }
-    if (disk_ != nullptr) {
-      disk_->for_each_out(s, fn);
-      return;
-    }
     const VertexRecord* v = graph_->vertex_at(s);
     static_cast<const PropertyGraph*>(graph_)->for_each_out_edge(
         *v, [&](const EdgeRecord& e, SlotIndex t) { fn(t, e.weight); });
   }
 
-  /// Calls fn(SlotIndex source) for each in-edge of s, in identical order
-  /// on both backends (the frozen in-CSR mirrors the dynamic in-lists).
+  /// Calls fn(SlotIndex source) for each in-edge of s, in the same order
+  /// as the frozen in-CSR.
   template <typename Fn>
   void for_each_in(SlotIndex s, Fn&& fn) const {
-    if (snap_ != nullptr) {
-      snap_->for_each_in(s, fn);
-      return;
-    }
-    if (disk_ != nullptr) {
-      disk_->for_each_in(s, fn);
-      return;
-    }
     const VertexRecord* v = graph_->vertex_at(s);
     static_cast<const PropertyGraph*>(graph_)->for_each_in_neighbor(
         *v, [&](VertexId, SlotIndex src) { fn(src); });
   }
 
   /// Early-terminating in-adjacency scan: fn(SlotIndex source) returns
-  /// bool, false stops the walk. This is the pull gap fix: the dynamic
-  /// backend's InRecord slot-cache existed but the view offered no way to
-  /// abandon an in-list mid-scan, so a Beamer-style pull step (stop at the
-  /// first active parent) was impossible through GraphView. Both backends
-  /// walk the same in-list order as for_each_in.
+  /// bool, false stops the walk (a Beamer-style pull step stops at the
+  /// first active parent).
   template <typename Fn>
   void for_each_in_until(SlotIndex s, Fn&& fn) const {
-    if (snap_ != nullptr) {
-      snap_->for_each_in_until(s, fn);
-      return;
-    }
-    if (disk_ != nullptr) {
-      disk_->for_each_in_until(s, fn);
-      return;
-    }
     const VertexRecord* v = graph_->vertex_at(s);
     graph_->for_each_in_neighbor_until(
         *v, [&](VertexId, SlotIndex src) { return fn(src); });
   }
 
   /// Early-terminating out-adjacency scan: fn(SlotIndex target, double
-  /// weight) returns bool, false stops (the symmetric-workload pull side
-  /// scans both directions).
+  /// weight) returns bool, false stops.
   template <typename Fn>
   void for_each_out_until(SlotIndex s, Fn&& fn) const {
-    if (snap_ != nullptr) {
-      snap_->for_each_out_until(s, fn);
-      return;
-    }
-    if (disk_ != nullptr) {
-      disk_->for_each_out_until(s, fn);
-      return;
-    }
     const VertexRecord* v = graph_->vertex_at(s);
     graph_->for_each_out_edge_until(
         *v,
         [&](const EdgeRecord& e, SlotIndex t) { return fn(t, e.weight); });
   }
 
-  // ---- degree prefix queries (frontier-engine chunking) ----
-  //
-  // The frozen CSR's row-pointer arrays answer "how many edges do slots
-  // [lo, hi) own" in O(1), which is what lets the frontier engine cut a
-  // dense sweep into equal-edge-weight chunks without walking degrees.
-  // The dynamic backend has no prefix structure; callers walk its degrees
-  // once to place the same degree-weighted cuts.
-
-  bool has_degree_prefix() const { return frozen(); }
-
-  /// Cumulative out-edge count of slots [0, s); frozen/disk only. s may
-  /// equal slot_count() (total edge count).
-  std::uint64_t out_prefix(SlotIndex s) const {
-    return snap_ != nullptr ? snap_->out_ptr()[s] : disk_->out_ptr()[s];
-  }
-  /// Cumulative in-edge count of slots [0, s); frozen/disk only.
-  std::uint64_t in_prefix(SlotIndex s) const {
-    return snap_ != nullptr ? snap_->in_ptr()[s] : disk_->in_ptr()[s];
-  }
-
   /// Calls fn(SlotIndex) for every live slot, ascending.
   template <typename Fn>
   void for_each_live_slot(Fn&& fn) const {
-    if (frozen()) {
-      const std::uint32_t rows = static_cast<std::uint32_t>(slot_count());
-      for (std::uint32_t v = 0; v < rows; ++v) {
-        if (is_live(v)) fn(static_cast<SlotIndex>(v));
-      }
-      return;
-    }
     const std::size_t slots = graph_->slot_count();
     for (SlotIndex s = 0; s < slots; ++s) {
       if (graph_->vertex_at(s) != nullptr) fn(s);
     }
   }
 
-  // ---- algorithm-state publication ----
-  //
-  // Dynamic: per-vertex PropertyMap entries. Frozen: dense property
-  // columns (zero-initialized, no absence tracking).
+  // ---- algorithm-state publication: per-vertex PropertyMap entries ----
 
   void set_int(SlotIndex s, PropKey key, std::int64_t v) const {
-    if (frozen()) {
-      frozen_columns().set_int(s, key, v);
-    } else {
-      graph_->vertex_at(s)->props.set_int(key, v);
-    }
+    graph_->vertex_at(s)->props.set_int(key, v);
   }
   void set_double(SlotIndex s, PropKey key, double v) const {
-    if (frozen()) {
-      frozen_columns().set_double(s, key, v);
-    } else {
-      graph_->vertex_at(s)->props.set_double(key, v);
-    }
+    graph_->vertex_at(s)->props.set_double(key, v);
   }
   std::int64_t get_int(SlotIndex s, PropKey key,
                        std::int64_t fallback = 0) const {
-    if (frozen()) return frozen_columns().get_int(s, key, fallback);
     const VertexRecord* v = graph_->vertex_at(s);
     return v == nullptr ? fallback : v->props.get_int(key, fallback);
   }
   double get_double(SlotIndex s, PropKey key, double fallback = 0.0) const {
-    if (frozen()) return frozen_columns().get_double(s, key, fallback);
     const VertexRecord* v = graph_->vertex_at(s);
     return v == nullptr ? fallback : v->props.get_double(key, fallback);
   }
 
  private:
-  /// Private per-query columns when supplied, the backend's shared set
-  /// otherwise.
-  PropertyColumns& frozen_columns() const {
-    if (cols_ != nullptr) return *cols_;
-    return snap_ != nullptr ? snap_->columns() : disk_->columns();
+  PropertyGraph* graph_;
+};
+
+/// View over a CSR-backed store (GraphSnapshot or DiskGraph): slot space
+/// is row space, algorithm state lives in dense columns (zero-initialized,
+/// no absence tracking).
+template <typename Store>
+class FrozenView {
+ public:
+  /// `columns`, when given, receives algorithm state instead of the
+  /// store's shared column set. This is the serving path: concurrent
+  /// queries pin ONE immutable snapshot and each brings private columns,
+  /// so set_int/set_double never race across requests. `columns` must be
+  /// sized to store.row_count() and outlive the view.
+  explicit FrozenView(const Store& store, PropertyColumns* columns = nullptr)
+      : store_(&store), cols_(columns) {}
+
+  /// Row count, dead rows included (one row per dynamic slot).
+  std::size_t slot_count() const { return store_->row_count(); }
+  std::size_t num_vertices() const { return store_->num_vertices(); }
+  std::size_t num_edges() const { return store_->num_edges(); }
+
+  /// True when row s holds a live vertex (dead rows mirror the dynamic
+  /// tombstones they froze from).
+  bool is_live(SlotIndex s) const {
+    return s < store_->row_count() && store_->is_live(s);
+  }
+  VertexId id_of(SlotIndex s) const { return store_->id_of(s); }
+  SlotIndex slot_of(VertexId id) const { return store_->slot_of(id); }
+
+  std::size_t out_degree(SlotIndex s) const { return store_->out_degree(s); }
+  std::size_t in_degree(SlotIndex s) const { return store_->in_degree(s); }
+  std::size_t undirected_degree(SlotIndex s) const {
+    return out_degree(s) + in_degree(s);
   }
 
-  PropertyGraph* graph_ = nullptr;
-  const GraphSnapshot* snap_ = nullptr;
-  const DiskGraph* disk_ = nullptr;
-  PropertyColumns* cols_ = nullptr;
+  /// Run-to-end walks, defined once over the stores' early-terminating
+  /// row walks (same hooks, same edge order).
+  template <typename Fn>
+  void for_each_out(SlotIndex s, Fn&& fn) const {
+    store_->for_each_out_until(s, [&](std::uint32_t t, double w) {
+      fn(t, w);
+      return true;
+    });
+  }
+  template <typename Fn>
+  void for_each_in(SlotIndex s, Fn&& fn) const {
+    store_->for_each_in_until(s, [&](std::uint32_t src) {
+      fn(src);
+      return true;
+    });
+  }
+
+  template <typename Fn>
+  void for_each_in_until(SlotIndex s, Fn&& fn) const {
+    store_->for_each_in_until(s, fn);
+  }
+  template <typename Fn>
+  void for_each_out_until(SlotIndex s, Fn&& fn) const {
+    store_->for_each_out_until(s, fn);
+  }
+
+  /// Cumulative out-edge count of rows [0, s); s may equal slot_count()
+  /// (total edge count). The frontier engine cuts dense sweeps into
+  /// equal-edge-weight chunks from these in O(1) per query.
+  std::uint64_t out_prefix(SlotIndex s) const { return store_->out_ptr()[s]; }
+  /// Cumulative in-edge count of rows [0, s).
+  std::uint64_t in_prefix(SlotIndex s) const { return store_->in_ptr()[s]; }
+
+  /// Calls fn(SlotIndex) for every live row, ascending.
+  template <typename Fn>
+  void for_each_live_slot(Fn&& fn) const {
+    const std::uint32_t rows = store_->row_count();
+    for (std::uint32_t v = 0; v < rows; ++v) {
+      if (store_->is_live(v)) fn(static_cast<SlotIndex>(v));
+    }
+  }
+
+  // ---- algorithm-state publication: dense property columns ----
+
+  void set_int(SlotIndex s, PropKey key, std::int64_t v) const {
+    columns().set_int(s, key, v);
+  }
+  void set_double(SlotIndex s, PropKey key, double v) const {
+    columns().set_double(s, key, v);
+  }
+  std::int64_t get_int(SlotIndex s, PropKey key,
+                       std::int64_t fallback = 0) const {
+    return columns().get_int(s, key, fallback);
+  }
+  double get_double(SlotIndex s, PropKey key, double fallback = 0.0) const {
+    return columns().get_double(s, key, fallback);
+  }
+
+ private:
+  /// Private per-query columns when supplied, the store's shared set
+  /// otherwise (resolved per call: refresh() replaces the shared set).
+  PropertyColumns& columns() const {
+    return cols_ != nullptr ? *cols_ : store_->columns();
+  }
+
+  const Store* store_;
+  PropertyColumns* cols_;
+};
+
+using SnapshotView = FrozenView<GraphSnapshot>;
+using DiskView = FrozenView<DiskGraph>;
+
+/// The backend a run traverses, chosen once. visit(fn) calls fn with the
+/// concrete view (const DynamicView&, const SnapshotView& or
+/// const DiskView&); fn is typically a generic lambda holding the whole
+/// kernel, so the traversal calls inside it are resolved at compile time.
+class GraphView {
+ public:
+  explicit GraphView(DynamicView v) : view_(v) {}
+  explicit GraphView(SnapshotView v) : view_(v) {}
+  explicit GraphView(DiskView v) : view_(v) {}
+
+  template <typename Fn>
+  decltype(auto) visit(Fn&& fn) const {
+    return std::visit(std::forward<Fn>(fn), view_);
+  }
+
+ private:
+  std::variant<DynamicView, SnapshotView, DiskView> view_;
 };
 
 }  // namespace graphbig::graph

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/graph_view.h"
 #include "obs/metrics.h"
 #include "obs/trace_span.h"
 #include "platform/timer.h"
@@ -656,6 +657,8 @@ bool structurally_equal(const GraphSnapshot& a, const GraphSnapshot& b,
     return fail("num_edges " + std::to_string(a.num_edges()) + " vs " +
                 std::to_string(b.num_edges()));
   }
+  const SnapshotView va(a);
+  const SnapshotView vb(b);
   for (std::uint32_t v = 0; v < a.row_count(); ++v) {
     const std::string row = "row " + std::to_string(v);
     if (a.id_of(v) != b.id_of(v)) {
@@ -670,7 +673,7 @@ bool structurally_equal(const GraphSnapshot& a, const GraphSnapshot& b,
       return fail(row + ": in degree " + std::to_string(a.in_degree(v)) +
                   " vs " + std::to_string(b.in_degree(v)));
     }
-    // Decode through the iteration templates, not raw row pointers:
+    // Decode through the view's row walks, not raw row pointers:
     // compressed rows have no raw storage, and this must compare snapshots
     // across different layouts (the layout-parity tests rely on it).
     const std::uint64_t odeg = a.out_degree(v);
@@ -680,11 +683,11 @@ bool structurally_equal(const GraphSnapshot& a, const GraphSnapshot& b,
     tb.reserve(odeg);
     wa.reserve(odeg);
     wb.reserve(odeg);
-    a.for_each_out(v, [&](std::uint32_t t, double w) {
+    va.for_each_out(v, [&](std::uint32_t t, double w) {
       ta.push_back(t);
       wa.push_back(w);
     });
-    b.for_each_out(v, [&](std::uint32_t t, double w) {
+    vb.for_each_out(v, [&](std::uint32_t t, double w) {
       tb.push_back(t);
       wb.push_back(w);
     });
@@ -702,8 +705,8 @@ bool structurally_equal(const GraphSnapshot& a, const GraphSnapshot& b,
     std::vector<std::uint32_t> sa, sb;
     sa.reserve(ideg);
     sb.reserve(ideg);
-    a.for_each_in(v, [&](std::uint32_t s) { sa.push_back(s); });
-    b.for_each_in(v, [&](std::uint32_t s) { sb.push_back(s); });
+    va.for_each_in(v, [&](std::uint32_t s) { sa.push_back(s); });
+    vb.for_each_in(v, [&](std::uint32_t s) { sb.push_back(s); });
     for (std::uint64_t e = 0; e < ideg; ++e) {
       if (sa[e] != sb[e]) {
         return fail(row + ": in edge " + std::to_string(e) + " source " +

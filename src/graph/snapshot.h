@@ -44,7 +44,7 @@
 // values, prefix arrays, id map, per-row edge order) is untouched, which
 // is why every workload checksum is bit-identical across layouts.
 // Compression swaps eligible rows' raw u32 storage for delta-varint blobs
-// (graph/varint.h) decoded by a streaming cursor inside for_each_*; hot
+// (graph/varint.h) decoded by a streaming cursor inside the row walks; hot
 // high-degree rows and rows the codec cannot shrink stay raw per row.
 // Layouted (non-natural or compressed) snapshots refuse the incremental
 // refresh path: refresh() falls back to a full rebuild that re-applies
@@ -277,7 +277,7 @@ class GraphSnapshot {
 
   /// Row of an external id; kInvalidSlot when absent at freeze time.
   /// (Returns SlotIndex because row index == dynamic slot index; workloads
-  /// use them interchangeably through GraphView.)
+  /// use them interchangeably through the graph views.)
   SlotIndex slot_of(VertexId id) const {
     auto it = index_.find(id);
     return it == index_.end() ? kInvalidSlot : it->second;
@@ -304,7 +304,7 @@ class GraphSnapshot {
   // degree queries stay exact under any layout.
 
   /// Raw neighbor storage for row v; null when the row is compressed
-  /// (use out_enc_row / for_each_out).
+  /// (use out_enc_row / for_each_out_until).
   const std::uint32_t* out_row(std::uint32_t v) const {
     return out_rows_ != nullptr ? out_rows_[v] : out_dst_ + out_ptr_[v];
   }
@@ -326,8 +326,8 @@ class GraphSnapshot {
 
   // Raw frozen arrays (device-CSR conversion, partitioning, tests). The
   // edge arrays (out_dst/out_weight/in_src) describe refreshed or layouted
-  // rows only through out_row()/in_row()/for_each_*; the prefix arrays are
-  // always current.
+  // rows only through out_row()/in_row() and the row walks; the prefix
+  // arrays are always current.
   const std::uint64_t* out_ptr() const { return out_ptr_; }
   const std::uint32_t* out_dst() const { return out_dst_; }
   const double* out_weight() const { return out_weight_; }
@@ -335,64 +335,13 @@ class GraphSnapshot {
   const std::uint32_t* in_src() const { return in_src_; }
   const VertexId* orig_id() const { return orig_id_; }
 
-  /// Calls fn(row target, weight) for each out-edge of v, in the dynamic
-  /// graph's edge order. Compressed rows stream through the varint
-  /// decoder; the memory trace prices the encoded bytes actually touched,
-  /// so the perfmodel sees the compressed footprint.
-  template <typename Fn>
-  void for_each_out(std::uint32_t v, Fn&& fn) const {
-    const std::uint64_t deg = out_ptr_[v + 1] - out_ptr_[v];
-    const double* w = out_weight_row(v);
-    if (const std::uint8_t* enc = out_enc_row(v)) {
-      varint::RowDecoder dec(enc);
-      for (std::uint64_t e = 0; e < deg; ++e) {
-        const std::uint8_t* at = dec.cursor();
-        const std::uint32_t t = dec.next_u32();
-        trace::read(trace::MemKind::kTopology, at,
-                    static_cast<std::size_t>(dec.cursor() - at) +
-                        sizeof(double));
-        trace::branch(trace::kBranchLoopCond, true);
-        fn(t, w[e]);
-      }
-      return;
-    }
-    const std::uint32_t* dst = out_row(v);
-    for (std::uint64_t e = 0; e < deg; ++e) {
-      trace::read(trace::MemKind::kTopology, &dst[e],
-                  sizeof(std::uint32_t) + sizeof(double));
-      trace::branch(trace::kBranchLoopCond, true);
-      fn(dst[e], w[e]);
-    }
-  }
-
-  /// Calls fn(row source) for each in-edge of v, in the dynamic graph's
-  /// in-list order.
-  template <typename Fn>
-  void for_each_in(std::uint32_t v, Fn&& fn) const {
-    const std::uint64_t deg = in_ptr_[v + 1] - in_ptr_[v];
-    if (const std::uint8_t* enc = in_enc_row(v)) {
-      varint::RowDecoder dec(enc);
-      for (std::uint64_t e = 0; e < deg; ++e) {
-        const std::uint8_t* at = dec.cursor();
-        const std::uint32_t s = dec.next_u32();
-        trace::read(trace::MemKind::kTopology, at,
-                    static_cast<std::size_t>(dec.cursor() - at));
-        trace::branch(trace::kBranchLoopCond, true);
-        fn(s);
-      }
-      return;
-    }
-    const std::uint32_t* src = in_row(v);
-    for (std::uint64_t e = 0; e < deg; ++e) {
-      trace::read(trace::MemKind::kTopology, &src[e],
-                  sizeof(std::uint32_t));
-      trace::branch(trace::kBranchLoopCond, true);
-      fn(src[e]);
-    }
-  }
-
-  /// Early-terminating scans: fn returns bool, false stops. The frozen
-  /// pull path of the frontier engine walks in-rows through these.
+  /// Row walks: fn(row target, weight) per out-edge / fn(row source) per
+  /// in-edge of v, in the dynamic graph's edge and in-list order. fn
+  /// returns bool; false stops the walk. These are the only walks the
+  /// store defines: graph::FrozenView (graph_view.h) builds its run-to-end
+  /// for_each_out/for_each_in on them. Compressed rows stream through the
+  /// varint decoder; the memory trace prices the encoded bytes actually
+  /// touched, so the perfmodel sees the compressed footprint.
   template <typename Fn>
   void for_each_out_until(std::uint32_t v, Fn&& fn) const {
     const std::uint64_t deg = out_ptr_[v + 1] - out_ptr_[v];

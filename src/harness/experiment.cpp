@@ -92,22 +92,6 @@ std::string temp_snapshot_name() {
 
 }  // namespace
 
-const char* to_string(Representation rep) {
-  return rep == Representation::kFrozen ? "frozen" : "dynamic";
-}
-
-bool parse_representation(const std::string& name, Representation* out) {
-  if (name == "dynamic") {
-    *out = Representation::kDynamic;
-    return true;
-  }
-  if (name == "frozen") {
-    *out = Representation::kFrozen;
-    return true;
-  }
-  return false;
-}
-
 bool supports_frozen(const workloads::Workload& w) {
   return !w.mutates_graph() && !w.needs_bayes_input() &&
          !w.needs_dag_input();
@@ -130,17 +114,17 @@ bool parse_refresh_mode(const std::string& name, RefreshMode* out) {
 }
 
 const char* to_string(Backend backend) {
-  return backend == Backend::kDisk ? "disk" : "frozen";
+  static constexpr const char* kNames[] = {"dynamic", "frozen", "disk"};
+  return kNames[static_cast<int>(backend)];
 }
 
 bool parse_backend(const std::string& name, Backend* out) {
-  if (name == "frozen") {
-    *out = Backend::kFrozen;
-    return true;
-  }
-  if (name == "disk") {
-    *out = Backend::kDisk;
-    return true;
+  for (const Backend b :
+       {Backend::kDynamic, Backend::kFrozen, Backend::kDisk}) {
+    if (name == to_string(b)) {
+      *out = b;
+      return true;
+    }
   }
   return false;
 }
@@ -243,8 +227,13 @@ workloads::RunContext make_cpu_context(const workloads::Workload& w,
 CpuProfiledRun run_cpu_profiled(const workloads::Workload& w,
                                 const DatasetBundle& bundle,
                                 const perfmodel::MachineConfig& machine,
-                                Representation representation,
+                                Backend backend,
                                 const graph::LayoutOptions& layout) {
+  if (backend == Backend::kDisk) {
+    throw std::invalid_argument(
+        "profiled runs replay in-RAM accesses only; the disk backend "
+        "cannot be profiled");
+  }
   graph::PropertyGraph input = make_input_graph(w, bundle);
   workloads::RunContext ctx = make_cpu_context(w, input, bundle);
 
@@ -256,7 +245,7 @@ CpuProfiledRun run_cpu_profiled(const workloads::Workload& w,
   // Freeze before attaching the sink so snapshot construction does not
   // pollute the modeled access trace.
   graph::GraphSnapshot snapshot;
-  if (representation == Representation::kFrozen && supports_frozen(w)) {
+  if (backend == Backend::kFrozen && supports_frozen(w)) {
     snapshot = graph::GraphSnapshot::freeze(input, layout);
     ctx.snapshot = &snapshot;
   }
@@ -274,10 +263,10 @@ CpuProfiledRun run_cpu_profiled(const workloads::Workload& w,
 
 CpuTimedRun run_cpu_timed(const workloads::Workload& w,
                           const DatasetBundle& bundle, int threads,
-                          Representation representation,
+                          Backend backend,
                           const engine::TraversalOptions& traversal,
                           RefreshMode refresh_mode, const ChurnPhase& churn,
-                          const graph::LayoutOptions& layout, Backend backend,
+                          const graph::LayoutOptions& layout,
                           const DiskBackendOptions& disk) {
   graph::PropertyGraph input = make_input_graph(w, bundle);
   workloads::RunContext ctx = make_cpu_context(w, input, bundle);
@@ -286,12 +275,11 @@ CpuTimedRun run_cpu_timed(const workloads::Workload& w,
   CpuTimedRun out;
 
   // Freeze before starting the timer: the measured interval covers the
-  // algorithm only, on whichever representation it traverses.
+  // algorithm only, on whichever backend it traverses.
   graph::GraphSnapshot snapshot;
   std::unique_ptr<graph::PropertyColumns> run_columns;
   std::unique_ptr<graph::DiskGraph> run_disk;
-  const bool frozen =
-      representation == Representation::kFrozen && supports_frozen(w);
+  const bool frozen = backend != Backend::kDynamic && supports_frozen(w);
   if (frozen) {
     if (bundle.from_snapshot) {
       // Snapshot-sourced bundle: no dynamic input exists, so traverse the
@@ -319,7 +307,7 @@ CpuTimedRun run_cpu_timed(const workloads::Workload& w,
     }
   }
 
-  // Churn phase: mutate the input (both representations see the same
+  // Churn phase: mutate the input (every backend sees the same
   // mutated graph, so dynamic/frozen checksums stay comparable), then
   // bring the snapshot up to date per the refresh mode. Churn + refresh
   // time is excluded from the measured workload seconds.

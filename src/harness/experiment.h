@@ -23,15 +23,20 @@
 
 namespace graphbig::harness {
 
-/// Which graph representation the analytic CPU workloads traverse: the
-/// dynamic vertex-centric structure or a frozen snapshot (Section 2's
-/// flexibility-vs-locality trade, measured as an explicit axis).
-enum class Representation { kDynamic, kFrozen };
+/// Which backend the analytic CPU workloads traverse: the dynamic
+/// vertex-centric PropertyGraph, a frozen in-memory GraphSnapshot, or the
+/// out-of-core DiskGraph (a serialized graphbig.snap.v1 file behind a
+/// fixed-size buffer pool). Section 2's flexibility-vs-locality trade is
+/// the dynamic-vs-frozen axis; frozen and disk expose the same row space
+/// and edge order, so they differ only in memory ceiling and access path.
+/// Checksums are bit-identical across all three. Workloads that cannot run
+/// frozen always traverse the dynamic graph.
+enum class Backend { kDynamic, kFrozen, kDisk };
 
-const char* to_string(Representation rep);
+const char* to_string(Backend backend);
 
-/// Parses "dynamic" / "frozen"; false on anything else.
-bool parse_representation(const std::string& name, Representation* out);
+/// Parses "dynamic" / "frozen" / "disk"; false on anything else.
+bool parse_backend(const std::string& name, Backend* out);
 
 /// True when the workload can run against a frozen snapshot (analytic,
 /// non-mutating, generic dataset input). CompDyn workloads and the
@@ -47,19 +52,6 @@ const char* to_string(RefreshMode mode);
 /// Parses "full" / "incremental"; false on anything else.
 bool parse_refresh_mode(const std::string& name, RefreshMode* out);
 
-/// Which physical backend a frozen-representation run traverses: the
-/// in-memory arena snapshot, or the out-of-core DiskGraph (a serialized
-/// graphbig.snap.v1 file behind a fixed-size buffer pool). Both expose the
-/// same row space and edge order, so workload checksums are bit-identical;
-/// only the memory ceiling and access path differ. Ignored for dynamic
-/// runs and for workloads that cannot run frozen.
-enum class Backend { kFrozen, kDisk };
-
-const char* to_string(Backend backend);
-
-/// Parses "frozen" / "disk"; false on anything else.
-bool parse_backend(const std::string& name, Backend* out);
-
 /// Out-of-core knobs for Backend::kDisk runs.
 struct DiskBackendOptions {
   /// Existing graphbig.snap.v1 file to traverse. Empty = the harness
@@ -74,8 +66,8 @@ struct DiskBackendOptions {
 
 /// A GUp/TMorph-style churn phase run against the workload's input graph
 /// before the analytic phase: `batches` rounds of `config.ops` random
-/// mutations. With Representation::kFrozen the snapshot is brought up to
-/// date per the RefreshMode (incremental: one refresh per batch; full:
+/// mutations. On the frozen and disk backends the snapshot is brought up
+/// to date per the RefreshMode (incremental: one refresh per batch; full:
 /// one re-freeze at the end); churn + refresh time is reported separately
 /// and excluded from the measured workload seconds.
 struct ChurnPhase {
@@ -141,16 +133,17 @@ struct CpuProfiledRun {
 
 /// Runs a CPU workload sequentially under the perfmodel profiler. Handles
 /// input routing: GibbsInf gets a MUNIN network, TMorph a DAG-ized copy of
-/// the dataset, CompDyn workloads a scratch copy. With
-/// Representation::kFrozen, workloads that support it traverse a snapshot
-/// frozen from the input graph, so the cache/TLB model prices the frozen
-/// layout; others fall back to the dynamic structure. `layout` selects the
-/// snapshot's physical layout (reordering/compression) — frozen runs only.
+/// the dataset, CompDyn workloads a scratch copy. With Backend::kFrozen,
+/// workloads that support it traverse a snapshot frozen from the input
+/// graph, so the cache/TLB model prices the frozen layout; others fall
+/// back to the dynamic structure. `layout` selects the snapshot's physical
+/// layout (reordering/compression) — frozen runs only. The perf model
+/// replays in-RAM accesses only: Backend::kDisk throws
+/// std::invalid_argument.
 CpuProfiledRun run_cpu_profiled(const workloads::Workload& w,
                                 const DatasetBundle& bundle,
                                 const perfmodel::MachineConfig& machine = {},
-                                Representation representation =
-                                    Representation::kDynamic,
+                                Backend backend = Backend::kDynamic,
                                 const graph::LayoutOptions& layout = {});
 
 /// Result of a wall-clock (untraced) CPU run.
@@ -169,27 +162,24 @@ struct CpuTimedRun {
 };
 
 /// Runs a CPU workload with `threads` workers (0 = sequential), untraced.
-/// With Representation::kFrozen, workloads that support it traverse a
+/// On the frozen and disk backends, workloads that support it traverse a
 /// snapshot frozen from the input graph (freeze time is excluded from the
-/// measured seconds); others fall back to the dynamic structure.
+/// measured seconds); others fall back to the dynamic structure. kDisk
+/// serializes the snapshot (or reuses the bundle's DiskGraph /
+/// `disk.snapshot_path`) and traverses it out-of-core through a buffer
+/// pool sized by `disk`; serialization and open time are excluded too.
 /// `traversal` carries the frontier-engine direction mode; the default is
 /// direction-optimizing auto. Parallel runs always schedule chunks by work
-/// stealing.
-/// `layout` selects the snapshot's physical layout (applied at the initial
-/// freeze and preserved across churn refreshes) — frozen runs only.
-/// `backend` selects the frozen run's physical backend: kFrozen traverses
-/// the in-memory snapshot; kDisk serializes it (or reuses the bundle's
-/// DiskGraph / `disk.snapshot_path`) and traverses out-of-core through a
-/// buffer pool sized by `disk`. Backend choice never changes checksums.
+/// stealing. `layout` selects the snapshot's physical layout (applied at
+/// the initial freeze and preserved across churn refreshes). Backend
+/// choice never changes checksums.
 CpuTimedRun run_cpu_timed(const workloads::Workload& w,
                           const DatasetBundle& bundle, int threads,
-                          Representation representation =
-                              Representation::kDynamic,
+                          Backend backend = Backend::kDynamic,
                           const engine::TraversalOptions& traversal = {},
                           RefreshMode refresh_mode = RefreshMode::kFull,
                           const ChurnPhase& churn = {},
                           const graph::LayoutOptions& layout = {},
-                          Backend backend = Backend::kFrozen,
                           const DiskBackendOptions& disk = {});
 
 /// Figure 1: fraction of execution time spent inside framework primitives.

@@ -56,8 +56,7 @@ void RunReport::write_json(std::ostream& os,
   w.key("config");
   w.begin_object();
   w.kv("threads", threads);
-  w.kv("representation", representation);
-  w.kv("backend", backend.empty() ? representation : backend);
+  w.kv("backend", backend);
   w.kv("direction", direction);
   w.kv("layout", layout.empty() ? "natural" : layout);
   w.kv("compress", compress);

@@ -24,11 +24,10 @@ struct RunReport {
 
   // Configuration axes.
   int threads = 1;
-  std::string representation;  // "dynamic" / "frozen"
-  std::string backend;         // "dynamic" / "frozen" / "disk"
-  std::string direction;       // "push" / "pull" / "auto"
-  std::string layout = "natural";  // snapshot vertex order
-  bool compress = false;           // delta-varint adjacency
+  std::string backend = "dynamic";  // "dynamic" / "frozen" / "disk"
+  std::string direction;            // "push" / "pull" / "auto"
+  std::string layout = "natural";   // snapshot vertex order
+  bool compress = false;            // delta-varint adjacency
   std::string refresh_mode;  // "" when no churn phase ran
   int churn_batches = 0;
   std::uint64_t churn_ops = 0;

@@ -54,7 +54,8 @@ FrontendSeries& frontend_series() {
 /// k-hop neighborhood: BFS truncated after `k` supersteps. Same engine,
 /// same visited discipline, and the same checksum shape as the BFS
 /// workload, but bounded expansion — the "friends of friends" request.
-workloads::RunResult khop_neighborhood(const graph::GraphView& g,
+template <typename View>
+workloads::RunResult khop_neighborhood(const View& g,
                                        graph::SlotIndex root_slot, int k,
                                        engine::TraversalOptions opts) {
   workloads::RunResult result;
@@ -131,8 +132,9 @@ QueryRecord QueryFrontend::execute(const QueryRequest& req,
     case QueryKind::kKHop: {
       const graph::SlotIndex root_slot = snap.slot_of(req.root);
       if (root_slot != graph::kInvalidSlot) {
-        result = khop_neighborhood(ctx.view(), root_slot, req.khop,
-                                   traversal);
+        result = ctx.view().visit([&](const auto& g) {
+          return khop_neighborhood(g, root_slot, req.khop, traversal);
+        });
       }
       break;
     }

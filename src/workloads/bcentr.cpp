@@ -35,7 +35,12 @@ class BcentrWorkload final : public Workload {
   Category category() const override { return Category::kSocialAnalysis; }
 
   RunResult run(RunContext& ctx) const override {
-    const graph::GraphView g = ctx.view();
+    return ctx.view().visit([&](const auto& g) { return run_on(g, ctx); });
+  }
+
+ private:
+  template <typename View>
+  RunResult run_on(const View& g, const RunContext& ctx) const {
     RunResult result;
     const std::size_t slots = g.slot_count();
 

@@ -27,7 +27,12 @@ class BfsWorkload final : public Workload {
   Category category() const override { return Category::kTraversal; }
 
   RunResult run(RunContext& ctx) const override {
-    const graph::GraphView g = ctx.view();
+    return ctx.view().visit([&](const auto& g) { return run_on(g, ctx); });
+  }
+
+ private:
+  template <typename View>
+  RunResult run_on(const View& g, const RunContext& ctx) const {
     RunResult result;
 
     const graph::SlotIndex root_slot = g.slot_of(ctx.root);

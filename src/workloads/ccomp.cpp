@@ -27,7 +27,8 @@ constexpr graph::VertexId kUnreached =
 
 /// Labels every live slot with its own vertex id (dead slots get
 /// kUnreached) and zeroes the round stamps.
-void init_labels(const graph::GraphView& g, platform::ThreadPool* pool,
+template <typename View>
+void init_labels(const View& g, platform::ThreadPool* pool,
                  std::vector<std::atomic<graph::VertexId>>* label,
                  std::vector<std::atomic<std::uint64_t>>* queued) {
   const std::size_t slots = g.slot_count();
@@ -47,7 +48,8 @@ void init_labels(const graph::GraphView& g, platform::ThreadPool* pool,
 
 /// Publishes labels to the kLabel property and folds the checksum in slot
 /// order: a vertex whose label is its own id represents its component.
-RunResult finalize(const graph::GraphView& g, platform::ThreadPool* pool,
+template <typename View>
+RunResult finalize(const View& g, platform::ThreadPool* pool,
                    const std::vector<std::atomic<graph::VertexId>>& label,
                    std::uint64_t edges) {
   struct Tally {
@@ -96,7 +98,12 @@ class CcompWorkload final : public Workload {
   Category category() const override { return Category::kAnalytics; }
 
   RunResult run(RunContext& ctx) const override {
-    const graph::GraphView g = ctx.view();
+    return ctx.view().visit([&](const auto& g) { return run_on(g, ctx); });
+  }
+
+ private:
+  template <typename View>
+  RunResult run_on(const View& g, const RunContext& ctx) const {
     const std::size_t slots = g.slot_count();
 
     std::vector<std::atomic<graph::VertexId>> label(slots);

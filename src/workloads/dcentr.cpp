@@ -20,7 +20,12 @@ class DcentrWorkload final : public Workload {
   Category category() const override { return Category::kSocialAnalysis; }
 
   RunResult run(RunContext& ctx) const override {
-    const graph::GraphView g = ctx.view();
+    return ctx.view().visit([&](const auto& g) { return run_on(g, ctx); });
+  }
+
+ private:
+  template <typename View>
+  RunResult run_on(const View& g, const RunContext& ctx) const {
     RunResult result;
 
     // One engine sweep over all live slots unifies the sequential and
@@ -54,14 +59,13 @@ class DcentrWorkload final : public Workload {
     return result;
   }
 
- private:
   // Count by traversal (not by reading the size field): centrality
   // implementations in property-graph frameworks touch every edge
   // record to honor edge predicates. The pass streams the whole graph
   // with almost no arithmetic and no reusable metadata -- the access
   // pattern behind DCentr's suite-highest MPKI (145.9 in Figure 7).
-  static std::int64_t degree_of(const graph::GraphView& g,
-                                graph::SlotIndex s) {
+  template <typename View>
+  static std::int64_t degree_of(const View& g, graph::SlotIndex s) {
     trace::block(trace::kBlockWorkloadKernel);
     std::int64_t deg = 0;
     g.for_each_out(s, [&](graph::SlotIndex, double) { ++deg; });

@@ -30,7 +30,12 @@ class RwrWorkload final : public Workload {
   Category category() const override { return Category::kAnalytics; }
 
   RunResult run(RunContext& ctx) const override {
-    const graph::GraphView g = ctx.view();
+    return ctx.view().visit([&](const auto& g) { return run_on(g, ctx); });
+  }
+
+ private:
+  template <typename View>
+  RunResult run_on(const View& g, const RunContext& ctx) const {
     RunResult result;
     const std::size_t slots = g.slot_count();
     const graph::SlotIndex root_slot = g.slot_of(ctx.root);

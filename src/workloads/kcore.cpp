@@ -28,15 +28,15 @@ class KcoreWorkload final : public Workload {
   Category category() const override { return Category::kAnalytics; }
 
   RunResult run(RunContext& ctx) const override {
-    if (ctx.pool != nullptr && ctx.pool->num_threads() > 1) {
-      return run_parallel(ctx);
-    }
-    return run_sequential(ctx);
+    const bool parallel = ctx.pool != nullptr && ctx.pool->num_threads() > 1;
+    return ctx.view().visit([&](const auto& g) {
+      return parallel ? run_parallel(g, ctx) : run_sequential(g);
+    });
   }
 
  private:
-  RunResult run_sequential(RunContext& ctx) const {
-    const graph::GraphView g = ctx.view();
+  template <typename View>
+  RunResult run_sequential(const View& g) const {
     RunResult result;
     const std::size_t slots = g.slot_count();
 
@@ -108,8 +108,8 @@ class KcoreWorkload final : public Workload {
     return result;
   }
 
-  RunResult run_parallel(RunContext& ctx) const {
-    const graph::GraphView g = ctx.view();
+  template <typename View>
+  RunResult run_parallel(const View& g, const RunContext& ctx) const {
     platform::ThreadPool& pool = *ctx.pool;
     RunResult result;
     const std::size_t slots = g.slot_count();

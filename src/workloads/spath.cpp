@@ -40,10 +40,10 @@ class SpathWorkload final : public Workload {
   Category category() const override { return Category::kAnalytics; }
 
   RunResult run(RunContext& ctx) const override {
-    if (ctx.pool != nullptr && ctx.pool->num_threads() > 1) {
-      return run_parallel(ctx);
-    }
-    return run_sequential(ctx);
+    const bool parallel = ctx.pool != nullptr && ctx.pool->num_threads() > 1;
+    return ctx.view().visit([&](const auto& g) {
+      return parallel ? run_parallel(g, ctx) : run_sequential(g, ctx);
+    });
   }
 
  private:
@@ -58,8 +58,8 @@ class SpathWorkload final : public Workload {
     return reached * 1000003u + static_cast<std::uint64_t>(dist_sum * 16.0);
   }
 
-  RunResult run_sequential(RunContext& ctx) const {
-    const graph::GraphView g = ctx.view();
+  template <typename View>
+  RunResult run_sequential(const View& g, const RunContext& ctx) const {
     RunResult result;
 
     const graph::SlotIndex root_slot = g.slot_of(ctx.root);
@@ -107,8 +107,8 @@ class SpathWorkload final : public Workload {
     return result;
   }
 
-  RunResult run_parallel(RunContext& ctx) const {
-    const graph::GraphView g = ctx.view();
+  template <typename View>
+  RunResult run_parallel(const View& g, const RunContext& ctx) const {
     platform::ThreadPool& pool = *ctx.pool;
     RunResult result;
 

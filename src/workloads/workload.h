@@ -81,17 +81,16 @@ struct RunContext {
 
   /// The traversal view the analytic workloads run against: the disk
   /// backend when present, else the frozen snapshot, else the dynamic
-  /// graph.
+  /// graph. Workloads visit it once at entry:
+  ///   ctx.view().visit([&](const auto& g) { ... });
   graph::GraphView view() const {
     if (disk != nullptr) {
-      return columns != nullptr ? graph::GraphView(*disk, columns)
-                                : graph::GraphView(*disk);
+      return graph::GraphView(graph::DiskView(*disk, columns));
     }
     if (snapshot != nullptr) {
-      return columns != nullptr ? graph::GraphView(*snapshot, columns)
-                                : graph::GraphView(*snapshot);
+      return graph::GraphView(graph::SnapshotView(*snapshot, columns));
     }
-    return graph::GraphView(*graph);
+    return graph::GraphView(graph::DynamicView(*graph));
   }
 
   /// Frontier-engine options for the level-synchronous workloads: the

@@ -9,8 +9,10 @@
 
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "graph/buffer_pool.h"
@@ -178,6 +180,36 @@ TEST(BufferPool, AllFramesPinnedFallsBackToOverflowRead) {
 
 // ---- disk/frozen parity ----
 
+// RunContext::view() picks one backend per run: disk over snapshot over
+// the dynamic graph, whichever of them are set.
+TEST(DiskGraph, RunContextViewPrefersDiskThenSnapshot) {
+  PropertyGraph g = make_graph();
+  const GraphSnapshot snap = GraphSnapshot::freeze(g);
+  ScopedFile file("diskgraph_view.snap");
+  graph::snap::save_snapshot(snap, file.path);
+  const DiskGraph disk(file.path);
+
+  workloads::RunContext ctx;
+  ctx.graph = &g;
+  ctx.snapshot = &snap;
+  ctx.disk = &disk;
+  auto picked = [&] {
+    return ctx.view().visit([](const auto& view) -> std::string {
+      using View = std::decay_t<decltype(view)>;
+      if constexpr (std::is_same_v<View, graph::DiskView>) return "disk";
+      if constexpr (std::is_same_v<View, graph::SnapshotView>) {
+        return "frozen";
+      }
+      return "dynamic";
+    });
+  };
+  EXPECT_EQ(picked(), "disk");
+  ctx.disk = nullptr;
+  EXPECT_EQ(picked(), "frozen");
+  ctx.snapshot = nullptr;
+  EXPECT_EQ(picked(), "dynamic");
+}
+
 TEST(DiskGraph, StructuralSurfaceMatchesSnapshot) {
   PropertyGraph g = make_graph();
   const GraphSnapshot snap = GraphSnapshot::freeze(g);
@@ -201,17 +233,18 @@ TEST(DiskGraph, StructuralSurfaceMatchesSnapshot) {
     }
   }
   // Edge streams element-for-element, including weights.
+  const graph::SnapshotView snap_view(snap);
+  const graph::DiskView disk_view(disk);
   for (std::uint32_t v = 0; v < snap.row_count(); ++v) {
     std::vector<std::pair<std::uint32_t, double>> a, b;
-    graph::GraphView(snap).for_each_out(
+    snap_view.for_each_out(
         v, [&](std::uint32_t t, double w) { a.emplace_back(t, w); });
-    disk.for_each_out(v,
-                      [&](std::uint32_t t, double w) { b.emplace_back(t, w); });
+    disk_view.for_each_out(
+        v, [&](std::uint32_t t, double w) { b.emplace_back(t, w); });
     EXPECT_EQ(a, b) << "out row " << v;
     std::vector<std::uint32_t> ai, bi;
-    graph::GraphView(snap).for_each_in(v,
-                                       [&](std::uint32_t s) { ai.push_back(s); });
-    disk.for_each_in(v, [&](std::uint32_t s) { bi.push_back(s); });
+    snap_view.for_each_in(v, [&](std::uint32_t s) { ai.push_back(s); });
+    disk_view.for_each_in(v, [&](std::uint32_t s) { bi.push_back(s); });
     EXPECT_EQ(ai, bi) << "in row " << v;
   }
 }
@@ -310,14 +343,16 @@ TEST(DiskGraph, ConcurrentReadersShareOnePool) {
   opts.page_bytes = 4096;
   const DiskGraph disk(file.path, opts);
 
+  const graph::DiskView view(disk);
+
   auto fingerprint = [&](std::uint32_t begin, std::uint32_t step) {
     std::uint64_t h = 0xCBF29CE484222325ull;
     for (std::uint32_t v = begin; v < disk.row_count(); v += step) {
-      disk.for_each_out(v, [&](std::uint32_t t, double w) {
+      view.for_each_out(v, [&](std::uint32_t t, double w) {
         h ^= t + static_cast<std::uint64_t>(w * 8.0);
         h *= 0x100000001B3ull;
       });
-      disk.for_each_in(v, [&](std::uint32_t s) {
+      view.for_each_in(v, [&](std::uint32_t s) {
         h ^= s;
         h *= 0x100000001B3ull;
       });
@@ -367,12 +402,12 @@ TEST(DiskHarness, SnapshotBundleSkipsDatagenAndMatchesOrigin) {
   // The three run paths — origin frozen, snapshot-sourced frozen,
   // snapshot-sourced disk — agree on the workload checksum.
   const auto base = harness::run_cpu_timed(workloads::bfs(), origin, 2,
-                                           harness::Representation::kFrozen);
+                                           harness::Backend::kFrozen);
   const auto from_full = harness::run_cpu_timed(
-      workloads::bfs(), full, 2, harness::Representation::kFrozen);
+      workloads::bfs(), full, 2, harness::Backend::kFrozen);
   const auto from_disk = harness::run_cpu_timed(
-      workloads::bfs(), lean, 2, harness::Representation::kFrozen, {},
-      harness::RefreshMode::kFull, {}, {}, harness::Backend::kDisk, dopts);
+      workloads::bfs(), lean, 2, harness::Backend::kDisk, {},
+      harness::RefreshMode::kFull, {}, {}, dopts);
   EXPECT_EQ(from_full.run.checksum, base.run.checksum);
   EXPECT_EQ(from_disk.run.checksum, base.run.checksum);
 }
@@ -387,10 +422,10 @@ TEST(DiskHarness, TimedRunDiskBackendMatchesFrozen) {
        {&workloads::bfs(), &workloads::spath(), &workloads::tc()}) {
     SCOPED_TRACE(w->acronym());
     const auto frozen = harness::run_cpu_timed(
-        *w, bundle, 2, harness::Representation::kFrozen);
+        *w, bundle, 2, harness::Backend::kFrozen);
     const auto disk = harness::run_cpu_timed(
-        *w, bundle, 2, harness::Representation::kFrozen, {},
-        harness::RefreshMode::kFull, {}, {}, harness::Backend::kDisk, dopts);
+        *w, bundle, 2, harness::Backend::kDisk, {},
+        harness::RefreshMode::kFull, {}, {}, dopts);
     EXPECT_EQ(disk.run.checksum, frozen.run.checksum);
   }
 }
@@ -409,13 +444,22 @@ TEST(DiskHarness, DiskBackendAfterChurnMatchesFrozen) {
   dopts.pool_pages = 8;
   dopts.page_bytes = 4096;
   const auto frozen = harness::run_cpu_timed(
-      workloads::bfs(), bundle, 1, harness::Representation::kFrozen, {},
+      workloads::bfs(), bundle, 1, harness::Backend::kFrozen, {},
       harness::RefreshMode::kIncremental, churn);
   const auto disk = harness::run_cpu_timed(
-      workloads::bfs(), bundle, 1, harness::Representation::kFrozen, {},
-      harness::RefreshMode::kIncremental, churn, {}, harness::Backend::kDisk,
-      dopts);
+      workloads::bfs(), bundle, 1, harness::Backend::kDisk, {},
+      harness::RefreshMode::kIncremental, churn, {}, dopts);
   EXPECT_EQ(disk.run.checksum, frozen.run.checksum);
+}
+
+// The perf model replays in-RAM accesses only; a profiled disk run is
+// refused instead of silently profiling the snapshot.
+TEST(DiskHarness, ProfiledRunRejectsDiskBackend) {
+  const harness::DatasetBundle bundle =
+      harness::load_bundle(datagen::DatasetId::kLdbc, datagen::Scale::kTiny);
+  EXPECT_THROW(harness::run_cpu_profiled(workloads::bfs(), bundle, {},
+                                         harness::Backend::kDisk),
+               std::invalid_argument);
 }
 
 TEST(DiskHarness, SnapshotBundleRejectsChurn) {
@@ -428,7 +472,7 @@ TEST(DiskHarness, SnapshotBundleRejectsChurn) {
   harness::ChurnPhase churn;
   churn.batches = 1;
   EXPECT_THROW(harness::run_cpu_timed(workloads::bfs(), bundle, 1,
-                                      harness::Representation::kFrozen, {},
+                                      harness::Backend::kFrozen, {},
                                       harness::RefreshMode::kFull, churn),
                std::runtime_error);
 }

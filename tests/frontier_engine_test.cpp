@@ -99,7 +99,7 @@ TEST(FrontierEngine, PushPullAutoComputeIdenticalBfsDepths) {
   cfg.scale = 8;
   cfg.edge_factor = 8;
   PropertyGraph g = datagen::build_property_graph(generate_rmat(cfg));
-  const graph::GraphView gv(g);
+  const graph::DynamicView gv(g);
   const SlotIndex root = gv.slot_of(0);
   ASSERT_NE(root, graph::kInvalidSlot);
 

@@ -33,11 +33,12 @@ constexpr bool kTsan = false;
 constexpr bool kTsan = false;
 #endif
 
+using graph::DynamicView;
 using graph::GraphSnapshot;
-using graph::GraphView;
 using graph::LayoutOptions;
 using graph::PropertyGraph;
 using graph::SlotIndex;
+using graph::SnapshotView;
 using graph::VertexId;
 using graph::VertexOrder;
 
@@ -140,10 +141,10 @@ TEST(LayoutFreeze, CompressedRowsShrinkAndDecodeIdentically) {
 TEST(LayoutFreeze, EdgeOrderPreservedAcrossLayouts) {
   PropertyGraph g = make_small_graph();
   const GraphSnapshot natural = GraphSnapshot::freeze(g);
-  const GraphView dyn(g);
+  const DynamicView dyn(g);
   for (const LayoutOptions& layout : non_natural_layouts()) {
     const GraphSnapshot snap = GraphSnapshot::freeze(g, layout);
-    const GraphView view(snap);
+    const SnapshotView view(snap);
     for (SlotIndex s = 0; s < snap.row_count(); ++s) {
       std::vector<std::pair<SlotIndex, double>> want, got;
       dyn.for_each_out(s, [&](SlotIndex t, double w) {
@@ -276,14 +277,14 @@ void expect_layout_parity(const harness::DatasetBundle& b,
       kTsan ? std::vector<int>{1, 4} : std::vector<int>{1, 4, 16};
   for (const int threads : thread_counts) {
     const auto dyn = harness::run_cpu_timed(
-        *w, b, threads, harness::Representation::kDynamic, traversal);
+        *w, b, threads, harness::Backend::kDynamic, traversal);
     const auto natural = harness::run_cpu_timed(
-        *w, b, threads, harness::Representation::kFrozen, traversal);
+        *w, b, threads, harness::Backend::kFrozen, traversal);
     EXPECT_EQ(dyn.run.checksum, natural.run.checksum)
         << acronym << " dynamic vs frozen at " << threads << " thread(s)";
     for (const LayoutOptions& layout : non_natural_layouts()) {
       const auto r = harness::run_cpu_timed(
-          *w, b, threads, harness::Representation::kFrozen, traversal,
+          *w, b, threads, harness::Backend::kFrozen, traversal,
           harness::RefreshMode::kFull, {}, layout);
       EXPECT_EQ(natural.run.checksum, r.run.checksum)
           << acronym << " " << layout_name(layout) << " diverges at "
@@ -349,10 +350,10 @@ TEST_F(LayoutParity, ChurnedIncrementalRefreshFallsBackAndMatches) {
   layout.compress = true;
 
   const auto dyn = harness::run_cpu_timed(
-      *w, bundle(), 1, harness::Representation::kDynamic, {},
+      *w, bundle(), 1, harness::Backend::kDynamic, {},
       harness::RefreshMode::kIncremental, churn);
   const auto fro = harness::run_cpu_timed(
-      *w, bundle(), 1, harness::Representation::kFrozen, {},
+      *w, bundle(), 1, harness::Backend::kFrozen, {},
       harness::RefreshMode::kIncremental, churn, layout);
   EXPECT_EQ(dyn.run.checksum, fro.run.checksum);
   EXPECT_EQ(fro.refresh.kind, graph::RefreshStats::Kind::kFullRebuild);

@@ -357,7 +357,6 @@ TEST(RunReport, GoldenSchemaRoundTrip) {
   report.dataset = "ldbc";
   report.scale = "tiny";
   report.threads = 4;
-  report.representation = "frozen";
   report.backend = "disk";
   report.direction = "auto";
   report.layout = "degree";
@@ -394,7 +393,7 @@ TEST(RunReport, GoldenSchemaRoundTrip) {
 
   for (const char* path :
        {"schema", "workload", "dataset", "scale", "config.threads",
-        "config.representation", "config.backend", "config.direction",
+        "config.backend", "config.direction",
         "config.layout", "config.compress",
         "config.refresh_mode", "config.churn.batches", "config.churn.ops",
         "config.churn.seed", "config.pool_pages", "snapshot.path",
@@ -417,6 +416,8 @@ TEST(RunReport, GoldenSchemaRoundTrip) {
   EXPECT_EQ(doc.find_path("config")->find("engine"), nullptr);
   // Every parallel loop steals work, so the config carries no steal axis.
   EXPECT_EQ(doc.find_path("config")->find("steal"), nullptr);
+  // The backend is the only representation axis.
+  EXPECT_EQ(doc.find_path("config")->find("representation"), nullptr);
   EXPECT_EQ(doc.find_path("snapshot.format")->str, "graphbig.snap.v1");
   EXPECT_EQ(doc.find_path("snapshot.checksum")->str, "9223372036854775815");
   EXPECT_EQ(doc.find_path("config.threads")->number, 4.0);

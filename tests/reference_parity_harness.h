@@ -155,7 +155,7 @@ class ReferenceParityHarness {
     // TC credits each triangle to its lowest slot, the oracle to its
     // lowest vertex id: the two agree only while live slots ascend with
     // ids.
-    const graph::GraphView view(layouts.front().snapshot);
+    const graph::SnapshotView view(layouts.front().snapshot);
     graph::VertexId last = 0;
     bool first = true;
     bool ascending = true;
@@ -251,7 +251,7 @@ class ReferenceParityHarness {
   /// BCentr's pivots, as workloads/bcentr.cpp draws them: one
   /// Xoshiro256(seed).chance(0.5) per live slot in ascending order, the
   /// first bc_samples hits; the root when none hits.
-  std::vector<std::uint32_t> bcentr_pivots(const graph::GraphView& g,
+  std::vector<std::uint32_t> bcentr_pivots(const graph::SnapshotView& g,
                                            graph::VertexId root) const {
     const int samples = workloads::RunContext{}.bc_samples;
     platform::Xoshiro256 rng(kRunSeed);
@@ -266,7 +266,7 @@ class ReferenceParityHarness {
   }
 
   Expected oracle(const std::string& acronym, graph::VertexId root,
-                  const graph::GraphView& g) const {
+                  const graph::SnapshotView& g) const {
     namespace props = workloads::props;
     const datagen::EdgeList& el = oracle_edges_;
     const auto r = static_cast<std::uint32_t>(root);
@@ -364,7 +364,6 @@ class ReferenceParityHarness {
     ctx.traversal = traversal;
     w.run(ctx);
 
-    const graph::GraphView g = ctx.view();
     std::ostringstream out;
     out.precision(17);
     std::size_t mismatches = 0;
@@ -375,32 +374,34 @@ class ReferenceParityHarness {
     };
     std::map<std::int64_t, std::int64_t> to_oracle;
     std::map<std::int64_t, std::int64_t> to_engine;
-    g.for_each_live_slot([&](graph::SlotIndex s) {
-      const graph::VertexId v = g.id_of(s);
-      if (!expected.floating()) {
-        const std::int64_t a = g.get_int(s, expected.key);
-        const std::int64_t b = expected.ints[v];
-        if (expected.compare == Compare::kPartition) {
-          // Label values may differ; the classes they induce may not: the
-          // label-to-component map must be one-to-one both ways.
-          if (to_oracle.emplace(a, b).first->second != b ||
-              to_engine.emplace(b, a).first->second != a) {
-            mismatch(v, "label " + std::to_string(a),
-                     "component " + std::to_string(b));
+    ctx.view().visit([&](const auto& g) {
+      g.for_each_live_slot([&](graph::SlotIndex s) {
+        const graph::VertexId v = g.id_of(s);
+        if (!expected.floating()) {
+          const std::int64_t a = g.get_int(s, expected.key);
+          const std::int64_t b = expected.ints[v];
+          if (expected.compare == Compare::kPartition) {
+            // Label values may differ; the classes they induce may not: the
+            // label-to-component map must be one-to-one both ways.
+            if (to_oracle.emplace(a, b).first->second != b ||
+                to_engine.emplace(b, a).first->second != a) {
+              mismatch(v, "label " + std::to_string(a),
+                       "component " + std::to_string(b));
+            }
+          } else if (a != b) {
+            mismatch(v, a, b);
           }
-        } else if (a != b) {
-          mismatch(v, a, b);
+          return;
         }
-        return;
-      }
-      const double a = g.get_double(s, expected.key);
-      const double b = expected.doubles[v];
-      const bool ok =
-          expected.compare == Compare::kBitEqual
-              ? std::bit_cast<std::uint64_t>(a) ==
-                    std::bit_cast<std::uint64_t>(b)
-              : std::abs(a - b) <= 1e-9 * std::max(std::abs(a), std::abs(b));
-      if (!ok) mismatch(v, a, b);
+        const double a = g.get_double(s, expected.key);
+        const double b = expected.doubles[v];
+        const bool ok =
+            expected.compare == Compare::kBitEqual
+                ? std::bit_cast<std::uint64_t>(a) ==
+                      std::bit_cast<std::uint64_t>(b)
+                : std::abs(a - b) <= 1e-9 * std::max(std::abs(a), std::abs(b));
+        if (!ok) mismatch(v, a, b);
+      });
     });
     if (mismatches > kMaxReported) {
       out << "  ... " << mismatches - kMaxReported << " more vertices\n";

@@ -12,6 +12,7 @@
 
 #include "churn_harness.h"
 #include "datagen/registry.h"
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
 #include "graph/snapshot.h"
 
@@ -286,7 +287,7 @@ TEST(RefreshTest, ThresholdFallsBackToFullFreeze) {
   EXPECT_EQ(snap.rows_indirected(), 0u);
   const std::uint32_t s0 = static_cast<std::uint32_t>(g.slot_of(0));
   bool found = false;
-  snap.for_each_out(s0, [&](std::uint32_t dst, double) {
+  graph::SnapshotView(snap).for_each_out(s0, [&](std::uint32_t dst, double) {
     if (snap.id_of(dst) == 3) found = true;
   });
   EXPECT_TRUE(found);

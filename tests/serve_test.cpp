@@ -22,6 +22,7 @@
 #include "datagen/edge_list.h"
 #include "datagen/registry.h"
 #include "graph/churn.h"
+#include "graph/graph_view.h"
 #include "graph/property_graph.h"
 #include "graph/snapshot.h"
 #include "obs/json.h"
@@ -115,7 +116,7 @@ void reclamation_fuzz(int readers, int publishes) {
         if (rows > 0) {
           const auto row = static_cast<std::uint32_t>(rng.bounded(rows));
           if (snap->is_live(row)) {
-            snap->for_each_out(
+            graph::SnapshotView(*snap).for_each_out(
                 row, [&](std::uint32_t dst, double) { sum += dst; });
           }
         }
@@ -184,8 +185,8 @@ TEST(SnapshotManagerTest, LeaseOutlivesPublish) {
   // The pinned arena is untouched: same row count, rows still readable.
   EXPECT_EQ(pinned.snapshot()->row_count(), rows_at_gen0);
   std::uint64_t sum = 0;
-  pinned.snapshot()->for_each_out(0,
-                                  [&](std::uint32_t d, double) { sum += d; });
+  graph::SnapshotView(*pinned.snapshot())
+      .for_each_out(0, [&](std::uint32_t d, double) { sum += d; });
   (void)sum;
 
   // A fresh acquire lands on the new generation.

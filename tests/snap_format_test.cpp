@@ -94,7 +94,7 @@ std::uint64_t traversal_fingerprint(const GraphSnapshot& s) {
     h ^= v;
     h *= 0x100000001B3ull;
   };
-  const graph::GraphView view(s);
+  const graph::SnapshotView view(s);
   for (std::uint32_t v = 0; v < s.row_count(); ++v) {
     mix(s.is_live(v) ? s.id_of(v) : ~0ull);
     view.for_each_out(v, [&](std::uint32_t t, double w) {

@@ -1,4 +1,4 @@
-// GraphSnapshot / GraphView layer tests: freeze correctness, immutability
+// GraphSnapshot / graph view layer tests: freeze correctness, immutability
 // under source-graph mutation, property-column behavior, and the headline
 // guarantee — every analytic workload produces a bit-identical checksum on
 // the dynamic and frozen representations, at 1, 4 and 16 threads.
@@ -15,9 +15,10 @@ namespace graphbig {
 namespace {
 
 using graph::GraphSnapshot;
-using graph::GraphView;
+using graph::DynamicView;
 using graph::PropertyGraph;
 using graph::SlotIndex;
+using graph::SnapshotView;
 using graph::VertexId;
 
 PropertyGraph make_small_graph() {
@@ -55,8 +56,8 @@ TEST(GraphSnapshot, FreezeCopiesTopology) {
 TEST(GraphSnapshot, EdgeOrderMatchesDynamicGraph) {
   PropertyGraph g = make_small_graph();
   const GraphSnapshot snap = GraphSnapshot::freeze(g);
-  const GraphView dyn(g);
-  const GraphView fro(snap);
+  const DynamicView dyn(g);
+  const SnapshotView fro(snap);
 
   for (SlotIndex s = 0; s < 6; ++s) {
     std::vector<std::pair<SlotIndex, double>> dyn_out, fro_out;
@@ -95,7 +96,8 @@ TEST(GraphSnapshot, MutatingSourceDoesNotAffectSnapshot) {
   EXPECT_EQ(snap.in_degree(4), 1u);   // deleted vertex still frozen
 
   std::vector<SlotIndex> targets;
-  snap.for_each_out(0, [&](SlotIndex t, double) { targets.push_back(t); });
+  SnapshotView(snap).for_each_out(
+      0, [&](SlotIndex t, double) { targets.push_back(t); });
   EXPECT_EQ(targets, (std::vector<SlotIndex>{1, 2}));
 }
 
@@ -115,7 +117,7 @@ TEST(GraphSnapshot, ColumnsReadZeroBeforeWrite) {
 TEST(GraphView, FrozenViewPublishesToColumns) {
   PropertyGraph g = make_small_graph();
   const GraphSnapshot snap = GraphSnapshot::freeze(g);
-  const GraphView view(snap);
+  const SnapshotView view(snap);
 
   view.set_int(1, 5, 7);
   EXPECT_EQ(view.get_int(1, 5), 7);
@@ -144,9 +146,9 @@ void expect_representation_parity(const harness::DatasetBundle& b,
 
   for (const int threads : {1, 4, 16}) {
     const auto dyn = harness::run_cpu_timed(
-        *w, b, threads, harness::Representation::kDynamic);
+        *w, b, threads, harness::Backend::kDynamic);
     const auto fro = harness::run_cpu_timed(
-        *w, b, threads, harness::Representation::kFrozen);
+        *w, b, threads, harness::Backend::kFrozen);
     EXPECT_EQ(dyn.run.checksum, fro.run.checksum)
         << acronym << " diverges at " << threads << " thread(s)";
     EXPECT_EQ(dyn.run.vertices_processed, fro.run.vertices_processed)

@@ -73,9 +73,8 @@ std::string run_key(const JsonValue& run) {
   append("dataset", "?");
   append("scale", "?");
   for (const char* axis :
-       {"config.threads", "config.representation", "config.backend",
-        "config.direction", "config.layout", "config.compress",
-        "config.refresh_mode"}) {
+       {"config.threads", "config.backend", "config.direction",
+        "config.layout", "config.compress", "config.refresh_mode"}) {
     append(axis, "-");
   }
   return key;

@@ -37,30 +37,29 @@ void print_usage() {
   --dataset <name>       dataset (default: ldbc)
   --scale tiny|small|medium   dataset scale (default: small)
   --threads <n>          CPU threads (default: 1; 0 = all hardware threads)
-  --representation dynamic|frozen   graph representation for analytic
-                         workloads (default: dynamic; frozen traverses an
-                         immutable snapshot)
+  --backend dynamic|frozen|disk   graph backend for analytic workloads:
+                         the dynamic vertex-centric graph, an immutable
+                         in-memory snapshot, or an out-of-core
+                         graphbig.snap.v1 file traversed through a buffer
+                         pool (default: dynamic; checksums are identical
+                         on all three)
   --direction push|pull|auto   traversal direction for frontier-engine
                          workloads (default: auto = per-superstep
                          direction-optimizing choice)
-  --layout natural|degree|rcm   frozen-snapshot vertex placement: natural
+  --layout natural|degree|rcm   snapshot vertex placement: natural
                          slot order, hub-clustering degree sort, or
                          RCM-lite BFS bands (default: natural; results are
                          identical, only memory behavior differs)
   --compress on|off      delta-varint compress frozen adjacency rows, with
                          a per-row raw fallback for hot rows (default: off)
-  --backend frozen|disk  physical backend for frozen runs: the in-memory
-                         snapshot or an out-of-core graphbig.snap.v1 file
-                         traversed through a buffer pool (default: frozen;
-                         checksums are identical either way)
   --pool-pages <n>       disk backend: buffer-pool pages resident at once
                          (default: 64; small values force eviction)
   --snapshot-out <path>  serialize the frozen snapshot (with the requested
                          --layout/--compress) to a graphbig.snap.v1 file;
                          without --workload, saves and exits
   --snapshot-in <path>   load the graph from a serialized snapshot instead
-                         of generating the dataset (implies frozen
-                         representation; no churn/profile)
+                         of generating the dataset (a dynamic --backend
+                         becomes frozen; no churn/profile)
   --refresh full|incremental   run a churn phase before the workload and
                          bring the frozen snapshot up to date by full
                          re-freeze or mutation-log delta merge (implies
@@ -68,7 +67,8 @@ void print_usage() {
   --churn-batches <n>    number of churn batches before the workload
   --churn-ops <n>        mutations per churn batch (default: 512)
   --churn-seed <n>       churn RNG seed (default: 42)
-  --profile              run under the CPU perf model (sequential)
+  --profile              run under the CPU perf model (sequential; not with
+                         --backend disk)
   --gpu                  run on the SIMT GPU simulator
   --trace-out <path>     write a Chrome trace-event JSON file covering
                          dataset load, freeze, churn batches, refreshes,
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   std::string dataset = "ldbc";
   datagen::Scale scale = datagen::Scale::kSmall;
   int threads = 1;
-  harness::Representation representation = harness::Representation::kDynamic;
+  harness::Backend backend = harness::Backend::kDynamic;
   engine::TraversalOptions traversal;
   harness::RefreshMode refresh_mode = harness::RefreshMode::kFull;
   graph::LayoutOptions layout;
@@ -117,7 +117,6 @@ int main(int argc, char** argv) {
   bool refresh_given = false;
   bool profile = false;
   bool gpu = false;
-  harness::Backend backend = harness::Backend::kFrozen;
   harness::DiskBackendOptions disk;
   std::string snapshot_out;
   std::string snapshot_in;
@@ -168,13 +167,6 @@ int main(int argc, char** argv) {
       if (threads == 0) {
         threads =
             std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-      }
-    } else if (arg == "--representation") {
-      const std::string r = next();
-      if (!harness::parse_representation(r, &representation)) {
-        std::cerr << "unknown representation: " << r
-                  << " (expected dynamic or frozen)\n";
-        return 2;
       }
     } else if (arg == "--direction") {
       const std::string d = next();
@@ -227,7 +219,7 @@ int main(int argc, char** argv) {
       const std::string b = next();
       if (!harness::parse_backend(b, &backend)) {
         std::cerr << "unknown backend: " << b
-                  << " (expected frozen or disk)\n";
+                  << " (expected dynamic, frozen, or disk)\n";
         return 2;
       }
     } else if (arg == "--pool-pages") {
@@ -272,6 +264,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  if (profile && backend == harness::Backend::kDisk) {
+    std::cerr << "--profile cannot be combined with --backend disk (the "
+                 "perf model replays in-RAM accesses only)\n";
+    return 2;
+  }
+
   if (!snapshot_in.empty()) {
     // Snapshot-sourced runs skip dataset generation entirely; everything
     // that needs the dynamic input (churn, the perf model's dynamic
@@ -290,7 +288,9 @@ int main(int argc, char** argv) {
                    "snapshot has no dynamic input to mutate)\n";
       return 2;
     }
-    representation = harness::Representation::kFrozen;
+    if (backend == harness::Backend::kDynamic) {
+      backend = harness::Backend::kFrozen;
+    }
   }
 
   datagen::DatasetId id = datagen::DatasetId::kLdbc;
@@ -417,7 +417,7 @@ int main(int argc, char** argv) {
 
   if (profile) {
     const auto r =
-        harness::run_cpu_profiled(*w, bundle, {}, representation, layout);
+        harness::run_cpu_profiled(*w, bundle, {}, backend, layout);
     std::cout << w->acronym() << " (profiled): checksum "
               << r.run.checksum << "\n"
               << "  instructions " << harness::fmt_int(r.counters.instructions())
@@ -441,7 +441,7 @@ int main(int argc, char** argv) {
     return write_trace() ? 0 : 1;
   }
 
-  if (representation == harness::Representation::kFrozen &&
+  if (backend != harness::Backend::kDynamic &&
       !harness::supports_frozen(*w)) {
     if (!snapshot_in.empty()) {
       std::cerr << w->acronym()
@@ -451,20 +451,17 @@ int main(int argc, char** argv) {
     }
     std::cout << "note: " << w->acronym()
               << " mutates the graph or needs a special input; running on "
-                 "the dynamic representation\n";
+                 "the dynamic backend\n";
+    backend = harness::Backend::kDynamic;
   }
-  const bool ran_frozen = representation == harness::Representation::kFrozen &&
-                          harness::supports_frozen(*w);
   if (refresh_given && churn.batches == 0) churn.batches = 4;
   std::cout << "run config: direction="
             << engine::to_string(traversal.direction)
-            << " representation=" << harness::to_string(representation)
-            << " backend="
-            << (ran_frozen ? harness::to_string(backend) : "dynamic")
+            << " backend=" << harness::to_string(backend)
             << " layout=" << graph::to_string(layout.order)
             << " compress=" << (layout.compress ? "on" : "off")
             << " threads=" << threads;
-  if (ran_frozen && backend == harness::Backend::kDisk) {
+  if (backend == harness::Backend::kDisk) {
     std::cout << " pool-pages=" << disk.pool_pages;
   }
   if (churn.batches > 0) {
@@ -475,8 +472,8 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   harness::CpuTimedRun r;
   try {
-    r = harness::run_cpu_timed(*w, bundle, threads, representation, traversal,
-                               refresh_mode, churn, layout, backend, disk);
+    r = harness::run_cpu_timed(*w, bundle, threads, backend, traversal,
+                               refresh_mode, churn, layout, disk);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
@@ -486,8 +483,7 @@ int main(int argc, char** argv) {
             << harness::fmt_int(r.run.edges_processed)
             << " edges processed in " << platform::format_duration(r.seconds)
             << " with " << threads << " thread(s) ["
-            << (ran_frozen ? harness::to_string(backend) : "dynamic")
-            << " backend]\n";
+            << harness::to_string(backend) << " backend]\n";
   if (r.telemetry.supersteps > 0) {
     std::cout << "  traversal: " << r.telemetry.summary() << "\n";
   }
@@ -511,9 +507,8 @@ int main(int argc, char** argv) {
     report.dataset = dataset;
     report.scale = scale_name;
     report.threads = threads;
-    report.representation = harness::to_string(representation);
-    report.backend = ran_frozen ? harness::to_string(backend) : "dynamic";
-    if (ran_frozen && backend == harness::Backend::kDisk) {
+    report.backend = harness::to_string(backend);
+    if (backend == harness::Backend::kDisk) {
       report.pool_pages = disk.pool_pages;
     }
     if (bundle.from_snapshot) {
