@@ -196,13 +196,15 @@ class Frontier {
 };
 
 /// Per-chunk kernel context: counts edges touched and collects push
-/// activations (emit is only valid inside push kernels).
+/// activations (emit is only valid inside push kernels). Hooks is the
+/// engine's view trace policy; kernels take the context as `auto&`.
+template <typename Hooks>
 struct StepCtx {
   std::uint64_t edges = 0;
 
   void emit(graph::SlotIndex s) {
     out->push_back(s);
-    trace::write(trace::MemKind::kMetadata, &out->back(),
+    Hooks::write(trace::MemKind::kMetadata, &out->back(),
                  sizeof(graph::SlotIndex));
   }
 
@@ -218,9 +220,10 @@ struct StepResult {
   std::uint64_t stolen = 0;   // chunks stolen while scheduling
 };
 
-/// Templated over the concrete view (graph::DynamicView, SnapshotView or
-/// DiskView) the workload visited, so the engine's degree queries and the
-/// kernels it drives compile against one backend.
+/// Templated over the concrete view (graph::DynamicView or a
+/// graph::FrozenView) the workload visited, so the engine's degree queries
+/// and the kernels it drives compile against one backend, and its hooks
+/// follow the view's trace policy.
 template <typename View>
 class FrontierEngine {
  public:
@@ -342,7 +345,7 @@ class FrontierEngine {
     auto body = [&](std::size_t clo, std::size_t chi) {
       T p = identity;
       for (std::size_t i = bounds[clo]; i < bounds[chi]; ++i) {
-        trace::read(trace::MemKind::kMetadata, &list[i],
+        Hooks::read(trace::MemKind::kMetadata, &list[i],
                     sizeof(graph::SlotIndex));
         item(list[i], p);
       }
@@ -378,6 +381,9 @@ class FrontierEngine {
   }
 
  private:
+  using Hooks = typename View::Hooks;
+  using Ctx = StepCtx<Hooks>;
+
   static constexpr std::size_t kScanGrain = 4096;  // slots per O(1)-work chunk
   /// A step whose frontier holds at least slot_count / kDenseDen slots is
   /// flagged dense in telemetry (the flag never converts the frontier).
@@ -405,7 +411,7 @@ class FrontierEngine {
     if (obs::tracing_enabled() && obs::current_trace() != 0) {
       obs::flow_step("request", obs::current_trace());
     }
-    trace::block(trace::kBlockWorkloadKernel);
+    Hooks::block(trace::kBlockWorkloadKernel);
     const auto& list = cur_.list();
     StepResult r;
     r.frontier = cur_.count();
@@ -415,10 +421,10 @@ class FrontierEngine {
     };
     auto body = [&](std::size_t clo, std::size_t chi) {
       Partial p;
-      StepCtx ctx;
+      Ctx ctx;
       ctx.out = &p.out;
       for (std::size_t i = bounds[clo]; i < bounds[chi]; ++i) {
-        trace::read(trace::MemKind::kMetadata, &list[i],
+        Hooks::read(trace::MemKind::kMetadata, &list[i],
                     sizeof(graph::SlotIndex));
         push(list[i], ctx);
       }
@@ -448,7 +454,7 @@ class FrontierEngine {
     if (obs::tracing_enabled() && obs::current_trace() != 0) {
       obs::flow_step("request", obs::current_trace());
     }
-    trace::block(trace::kBlockWorkloadKernel);
+    Hooks::block(trace::kBlockWorkloadKernel);
     cur_.ensure_bits(pool_);
     next_.prepare_bits();
     StepResult r;
@@ -465,7 +471,7 @@ class FrontierEngine {
         const auto slot = static_cast<graph::SlotIndex>(s);
         if (!g_.is_live(slot)) continue;
         if (!cand(slot)) continue;
-        StepCtx ctx;
+        Ctx ctx;
         if (pull(slot, ctx)) {
           next_.bits().test_and_set(slot);
           ++p.activated;

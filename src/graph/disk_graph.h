@@ -87,8 +87,9 @@ class DiskGraph {
   /// Row walks: fn(target row, weight) per out-edge / fn(source row) per
   /// in-edge of v, in stored order, streaming the payload through the
   /// buffer pool. fn returns bool; false stops the walk. graph::FrozenView
-  /// builds its run-to-end walks on these.
-  template <typename Fn>
+  /// builds its run-to-end walks on these and passes its trace policy as
+  /// `Hooks`.
+  template <typename Hooks, typename Fn>
   void for_each_out_until(std::uint32_t v, Fn&& fn) const {
     const std::uint64_t deg = out_ptr_[v + 1] - out_ptr_[v];
     if (deg == 0) return;
@@ -100,10 +101,10 @@ class DiskGraph {
       for (std::uint64_t e = 0; e < deg; ++e) {
         const std::size_t b0 = enc.consumed();
         prev += varint::zigzag_decode(read_varint(enc));
-        trace::read(trace::MemKind::kTopology, enc.last_addr(),
+        Hooks::read(trace::MemKind::kTopology, enc.last_addr(),
                     static_cast<std::uint32_t>(enc.consumed() - b0) +
                         sizeof(double));
-        trace::branch(trace::kBranchLoopCond, true);
+        Hooks::branch(trace::kBranchLoopCond, true);
         if (!fn(static_cast<std::uint32_t>(prev), w.next<double>())) return;
       }
       return;
@@ -111,14 +112,14 @@ class DiskGraph {
     PagedReader dst(*pool_, odst_off_ + off * sizeof(std::uint32_t));
     for (std::uint64_t e = 0; e < deg; ++e) {
       const std::uint32_t t = dst.next<std::uint32_t>();
-      trace::read(trace::MemKind::kTopology, dst.last_addr(),
+      Hooks::read(trace::MemKind::kTopology, dst.last_addr(),
                   sizeof(std::uint32_t) + sizeof(double));
-      trace::branch(trace::kBranchLoopCond, true);
+      Hooks::branch(trace::kBranchLoopCond, true);
       if (!fn(t, w.next<double>())) return;
     }
   }
 
-  template <typename Fn>
+  template <typename Hooks, typename Fn>
   void for_each_in_until(std::uint32_t v, Fn&& fn) const {
     const std::uint64_t deg = in_ptr_[v + 1] - in_ptr_[v];
     if (deg == 0) return;
@@ -129,9 +130,9 @@ class DiskGraph {
       for (std::uint64_t e = 0; e < deg; ++e) {
         const std::size_t b0 = enc.consumed();
         prev += varint::zigzag_decode(read_varint(enc));
-        trace::read(trace::MemKind::kTopology, enc.last_addr(),
+        Hooks::read(trace::MemKind::kTopology, enc.last_addr(),
                     static_cast<std::uint32_t>(enc.consumed() - b0));
-        trace::branch(trace::kBranchLoopCond, true);
+        Hooks::branch(trace::kBranchLoopCond, true);
         if (!fn(static_cast<std::uint32_t>(prev))) return;
       }
       return;
@@ -139,9 +140,9 @@ class DiskGraph {
     PagedReader src(*pool_, isrc_off_ + off * sizeof(std::uint32_t));
     for (std::uint64_t e = 0; e < deg; ++e) {
       const std::uint32_t s = src.next<std::uint32_t>();
-      trace::read(trace::MemKind::kTopology, src.last_addr(),
+      Hooks::read(trace::MemKind::kTopology, src.last_addr(),
                   sizeof(std::uint32_t));
-      trace::branch(trace::kBranchLoopCond, true);
+      Hooks::branch(trace::kBranchLoopCond, true);
       if (!fn(s)) return;
     }
   }

@@ -10,14 +10,23 @@
 //   * an out-of-core DiskGraph (the same CSR served from an mmap'd
 //     graphbig.snap.v1 file through a fixed-size buffer pool) — DiskView.
 //
-// SnapshotView and DiskView are one template, FrozenView<Store>: the two
-// stores expose the same method names, and each keeps only its
+// SnapshotView and DiskView are one template, FrozenView<Store, Tracing>:
+// the two stores expose the same method names, and each keeps only its
 // early-terminating row walks; the run-to-end walks are defined once here.
 //
-// GraphView is the handle a RunContext hands out: a variant of the three
-// concrete views. The backend is chosen once per run, by one visit() at
-// workload entry; the kernel body is instantiated per concrete view, so no
-// traversal call branches on the backend.
+// Tracing is the view's trace::Hooks policy, exposed as View::Hooks. The
+// stores' row walks, the frontier engine and the kernels emit their
+// characterization hooks through it, so a kernel instantiated against a
+// trace::Untraced view has every hook compiled out, and one against a
+// trace::Traced view emits exactly the free trace:: functions' stream.
+// DynamicView is always Traced: PropertyGraph's own hooks live in .cpp
+// code and stay runtime-checked.
+//
+// GraphView is the handle a RunContext hands out: a variant of the
+// concrete views (dynamic, plus snapshot and disk each traced and
+// untraced). The backend and the tracing policy are chosen once per run,
+// by one visit() at workload entry; the kernel body is instantiated per
+// concrete view, so no traversal call branches on either.
 //
 // All indices exposed by the views are SlotIndex values: the snapshot keeps
 // one row per dynamic slot (dead slots become dead rows), so the index
@@ -35,6 +44,7 @@
 #include "graph/disk_graph.h"
 #include "graph/property_graph.h"
 #include "graph/snapshot.h"
+#include "trace/access.h"
 
 namespace graphbig::graph {
 
@@ -42,6 +52,8 @@ namespace graphbig::graph {
 /// per-vertex PropertyMaps.
 class DynamicView {
  public:
+  using Hooks = trace::Traced;
+
   explicit DynamicView(PropertyGraph& g) : graph_(&g) {}
 
   /// Size of the slot space: slot table size, tombstones included.
@@ -146,10 +158,13 @@ class DynamicView {
 
 /// View over a CSR-backed store (GraphSnapshot or DiskGraph): slot space
 /// is row space, algorithm state lives in dense columns (zero-initialized,
-/// no absence tracking).
-template <typename Store>
+/// no absence tracking). Tracing (trace::Traced or trace::Untraced) is the
+/// hook policy the row walks and the kernels visiting this view use.
+template <typename Store, typename Tracing>
 class FrozenView {
  public:
+  using Hooks = Tracing;
+
   /// `columns`, when given, receives algorithm state instead of the
   /// store's shared column set. This is the serving path: concurrent
   /// queries pin ONE immutable snapshot and each brings private columns,
@@ -181,14 +196,15 @@ class FrozenView {
   /// row walks (same hooks, same edge order).
   template <typename Fn>
   void for_each_out(SlotIndex s, Fn&& fn) const {
-    store_->for_each_out_until(s, [&](std::uint32_t t, double w) {
-      fn(t, w);
-      return true;
-    });
+    store_->template for_each_out_until<Hooks>(
+        s, [&](std::uint32_t t, double w) {
+          fn(t, w);
+          return true;
+        });
   }
   template <typename Fn>
   void for_each_in(SlotIndex s, Fn&& fn) const {
-    store_->for_each_in_until(s, [&](std::uint32_t src) {
+    store_->template for_each_in_until<Hooks>(s, [&](std::uint32_t src) {
       fn(src);
       return true;
     });
@@ -196,11 +212,11 @@ class FrozenView {
 
   template <typename Fn>
   void for_each_in_until(SlotIndex s, Fn&& fn) const {
-    store_->for_each_in_until(s, fn);
+    store_->template for_each_in_until<Hooks>(s, fn);
   }
   template <typename Fn>
   void for_each_out_until(SlotIndex s, Fn&& fn) const {
-    store_->for_each_out_until(s, fn);
+    store_->template for_each_out_until<Hooks>(s, fn);
   }
 
   /// Cumulative out-edge count of rows [0, s); s may equal slot_count()
@@ -246,18 +262,25 @@ class FrozenView {
   PropertyColumns* cols_;
 };
 
-using SnapshotView = FrozenView<GraphSnapshot>;
-using DiskView = FrozenView<DiskGraph>;
+/// The traced frozen views: runtime-checked hooks, the same stream the
+/// free trace:: functions emit. Direct (non-RunContext) users of a store's
+/// rows use these.
+using SnapshotView = FrozenView<GraphSnapshot, trace::Traced>;
+using DiskView = FrozenView<DiskGraph, trace::Traced>;
+/// The untraced frozen views: every hook compiled out.
+using UntracedSnapshotView = FrozenView<GraphSnapshot, trace::Untraced>;
+using UntracedDiskView = FrozenView<DiskGraph, trace::Untraced>;
 
-/// The backend a run traverses, chosen once. visit(fn) calls fn with the
-/// concrete view (const DynamicView&, const SnapshotView& or
-/// const DiskView&); fn is typically a generic lambda holding the whole
-/// kernel, so the traversal calls inside it are resolved at compile time.
+/// The backend and tracing policy a run traverses, chosen once. visit(fn)
+/// calls fn with the concrete view (const DynamicView& or a const
+/// FrozenView<Store, Tracing>&); fn is typically a generic lambda holding
+/// the whole kernel, so the traversal calls and hooks inside it are
+/// resolved at compile time.
 class GraphView {
  public:
   explicit GraphView(DynamicView v) : view_(v) {}
-  explicit GraphView(SnapshotView v) : view_(v) {}
-  explicit GraphView(DiskView v) : view_(v) {}
+  template <typename Store, typename Tracing>
+  explicit GraphView(FrozenView<Store, Tracing> v) : view_(v) {}
 
   template <typename Fn>
   decltype(auto) visit(Fn&& fn) const {
@@ -265,7 +288,9 @@ class GraphView {
   }
 
  private:
-  std::variant<DynamicView, SnapshotView, DiskView> view_;
+  std::variant<DynamicView, SnapshotView, UntracedSnapshotView, DiskView,
+               UntracedDiskView>
+      view_;
 };
 
 }  // namespace graphbig::graph

@@ -341,8 +341,9 @@ class GraphSnapshot {
   /// store defines: graph::FrozenView (graph_view.h) builds its run-to-end
   /// for_each_out/for_each_in on them. Compressed rows stream through the
   /// varint decoder; the memory trace prices the encoded bytes actually
-  /// touched, so the perfmodel sees the compressed footprint.
-  template <typename Fn>
+  /// touched, so the perfmodel sees the compressed footprint. `Hooks` is
+  /// the walking view's trace policy (trace::Traced or trace::Untraced).
+  template <typename Hooks, typename Fn>
   void for_each_out_until(std::uint32_t v, Fn&& fn) const {
     const std::uint64_t deg = out_ptr_[v + 1] - out_ptr_[v];
     const double* w = out_weight_row(v);
@@ -351,24 +352,24 @@ class GraphSnapshot {
       for (std::uint64_t e = 0; e < deg; ++e) {
         const std::uint8_t* at = dec.cursor();
         const std::uint32_t t = dec.next_u32();
-        trace::read(trace::MemKind::kTopology, at,
+        Hooks::read(trace::MemKind::kTopology, at,
                     static_cast<std::size_t>(dec.cursor() - at) +
                         sizeof(double));
-        trace::branch(trace::kBranchLoopCond, true);
+        Hooks::branch(trace::kBranchLoopCond, true);
         if (!fn(t, w[e])) return;
       }
       return;
     }
     const std::uint32_t* dst = out_row(v);
     for (std::uint64_t e = 0; e < deg; ++e) {
-      trace::read(trace::MemKind::kTopology, &dst[e],
+      Hooks::read(trace::MemKind::kTopology, &dst[e],
                   sizeof(std::uint32_t) + sizeof(double));
-      trace::branch(trace::kBranchLoopCond, true);
+      Hooks::branch(trace::kBranchLoopCond, true);
       if (!fn(dst[e], w[e])) return;
     }
   }
 
-  template <typename Fn>
+  template <typename Hooks, typename Fn>
   void for_each_in_until(std::uint32_t v, Fn&& fn) const {
     const std::uint64_t deg = in_ptr_[v + 1] - in_ptr_[v];
     if (const std::uint8_t* enc = in_enc_row(v)) {
@@ -376,18 +377,18 @@ class GraphSnapshot {
       for (std::uint64_t e = 0; e < deg; ++e) {
         const std::uint8_t* at = dec.cursor();
         const std::uint32_t s = dec.next_u32();
-        trace::read(trace::MemKind::kTopology, at,
+        Hooks::read(trace::MemKind::kTopology, at,
                     static_cast<std::size_t>(dec.cursor() - at));
-        trace::branch(trace::kBranchLoopCond, true);
+        Hooks::branch(trace::kBranchLoopCond, true);
         if (!fn(s)) return;
       }
       return;
     }
     const std::uint32_t* src = in_row(v);
     for (std::uint64_t e = 0; e < deg; ++e) {
-      trace::read(trace::MemKind::kTopology, &src[e],
+      Hooks::read(trace::MemKind::kTopology, &src[e],
                   sizeof(std::uint32_t));
-      trace::branch(trace::kBranchLoopCond, true);
+      Hooks::branch(trace::kBranchLoopCond, true);
       if (!fn(src[e])) return;
     }
   }

@@ -167,6 +167,7 @@ DatasetBundle load_bundle_from_snapshot(const std::string& path,
     bundle.snapshot = graph::snap::load_snapshot(path, &info);
     bundle.snapshot_version = info.version;
     bundle.snapshot_checksum = info.file_checksum;
+    bundle.snapshot_layout = info.layout;
     bundle.csr = graph::build_csr(bundle.snapshot);
     bundle.sym = graph::symmetrize(bundle.csr);
     bundle.coo = graph::build_coo(bundle.sym);
@@ -186,6 +187,7 @@ DatasetBundle load_bundle_from_snapshot(const std::string& path,
     bundle.disk = std::make_shared<graph::DiskGraph>(path, dopts);
     bundle.snapshot_version = bundle.disk->info().version;
     bundle.snapshot_checksum = bundle.disk->info().file_checksum;
+    bundle.snapshot_layout = bundle.disk->info().layout;
     bundle.root = pick_root_rows(bundle.disk->out_ptr(),
                                  bundle.disk->orig_id(),
                                  bundle.disk->row_count());

@@ -96,6 +96,7 @@ struct DatasetBundle {
   std::string snapshot_format;            // "graphbig.snap.v1"
   std::uint32_t snapshot_version = 0;     // format version from the header
   std::uint64_t snapshot_checksum = 0;    // whole-file FNV-1a checksum
+  graph::LayoutOptions snapshot_layout;   // the file's layout (SnapInfo)
   /// Out-of-core backend over `snapshot_path`, opened once and shared by
   /// every run against this bundle (kDiskOnly mode; null otherwise).
   std::shared_ptr<graph::DiskGraph> disk;

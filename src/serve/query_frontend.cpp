@@ -71,7 +71,7 @@ workloads::RunResult khop_neighborhood(const View& g,
   std::uint64_t depth_sum = 0;
   while (!eng.done() && depth < k) {
     ++depth;
-    auto push = [&](graph::SlotIndex u, engine::StepCtx& sc) {
+    auto push = [&](graph::SlotIndex u, auto& sc) {
       g.for_each_out(u, [&](graph::SlotIndex t, double) {
         ++sc.edges;
         if (visited.test_and_set(t)) sc.emit(t);

@@ -7,8 +7,15 @@
 // properties, or workload metadata reports the access here, and the
 // perfmodel replays the stream through software cache/TLB/branch models.
 //
-// Tracing is off by default and costs a single thread-local pointer test per
-// hook; timing-oriented benchmarks (Figure 12) run with the sink unset.
+// Tracing is off by default. What a hook costs depends on the view a kernel
+// runs against: zero on untraced views, where the hooks are compiled out,
+// and one inline thread-local pointer test on traced and dynamic views.
+// Hooks<kOn> is that compile-time policy; graph::FrozenView carries it as a
+// type parameter, and workloads::RunContext::view() picks the traced
+// alternative only when the calling thread has a sink installed. Timing
+// runs on frozen views (graphbig_run, serving, perfbench) therefore pay
+// nothing for the hooks, while profiled runs see exactly the hook stream
+// of the free functions below.
 #pragma once
 
 #include <cstdint>
@@ -49,16 +56,16 @@ class AccessSink {
   virtual void on_block(std::uint32_t block) = 0;
 };
 
-/// Thread-local active sink. Null means tracing disabled.
-AccessSink*& tls_sink();
+/// Thread-local active sink. Null means tracing disabled. Defined inline
+/// with a constant initializer, so a hook's test is one TLS load, not a
+/// call.
+inline thread_local AccessSink* tls_sink = nullptr;
 
 /// RAII installer for the thread-local sink.
 class ScopedSink {
  public:
-  explicit ScopedSink(AccessSink* sink) : prev_(tls_sink()) {
-    tls_sink() = sink;
-  }
-  ~ScopedSink() { tls_sink() = prev_; }
+  explicit ScopedSink(AccessSink* sink) : prev_(tls_sink) { tls_sink = sink; }
+  ~ScopedSink() { tls_sink = prev_; }
 
   ScopedSink(const ScopedSink&) = delete;
   ScopedSink& operator=(const ScopedSink&) = delete;
@@ -70,26 +77,57 @@ class ScopedSink {
 // ---- inline emission helpers (no-ops when no sink installed) ----
 
 inline void read(MemKind kind, const void* addr, std::uint32_t size) {
-  if (AccessSink* s = tls_sink()) s->on_read(kind, addr, size);
+  if (AccessSink* s = tls_sink) s->on_read(kind, addr, size);
 }
 
 inline void write(MemKind kind, const void* addr, std::uint32_t size) {
-  if (AccessSink* s = tls_sink()) s->on_write(kind, addr, size);
+  if (AccessSink* s = tls_sink) s->on_write(kind, addr, size);
 }
 
 inline void branch(std::uint32_t site, bool taken) {
-  if (AccessSink* s = tls_sink()) s->on_branch(site, taken);
+  if (AccessSink* s = tls_sink) s->on_branch(site, taken);
 }
 
 inline void alu(std::uint32_t n = 1) {
-  if (AccessSink* s = tls_sink()) s->on_alu(n);
+  if (AccessSink* s = tls_sink) s->on_alu(n);
 }
 
 inline void block(std::uint32_t id) {
-  if (AccessSink* s = tls_sink()) s->on_block(id);
+  if (AccessSink* s = tls_sink) s->on_block(id);
 }
 
-inline bool enabled() { return tls_sink() != nullptr; }
+inline bool enabled() { return tls_sink != nullptr; }
+
+/// Compile-time hook policy: the same five calls as the free functions.
+/// Hooks<true> forwards to them (runtime-checked against the thread's
+/// sink); Hooks<false> emits nothing, so a kernel instantiated with it
+/// compiles every hook out. Views expose theirs as View::Hooks.
+template <bool kOn>
+struct Hooks {
+  static void read([[maybe_unused]] MemKind kind,
+                   [[maybe_unused]] const void* addr,
+                   [[maybe_unused]] std::uint32_t size) {
+    if constexpr (kOn) trace::read(kind, addr, size);
+  }
+  static void write([[maybe_unused]] MemKind kind,
+                    [[maybe_unused]] const void* addr,
+                    [[maybe_unused]] std::uint32_t size) {
+    if constexpr (kOn) trace::write(kind, addr, size);
+  }
+  static void branch([[maybe_unused]] std::uint32_t site,
+                     [[maybe_unused]] bool taken) {
+    if constexpr (kOn) trace::branch(site, taken);
+  }
+  static void alu([[maybe_unused]] std::uint32_t n = 1) {
+    if constexpr (kOn) trace::alu(n);
+  }
+  static void block([[maybe_unused]] std::uint32_t id) {
+    if constexpr (kOn) trace::block(id);
+  }
+};
+
+using Traced = Hooks<true>;
+using Untraced = Hooks<false>;
 
 /// Well-known code-block ids (for the ICache model). Framework primitives
 /// occupy a small, flat set of blocks -- the design property behind the low

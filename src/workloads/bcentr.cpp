@@ -41,6 +41,7 @@ class BcentrWorkload final : public Workload {
  private:
   template <typename View>
   RunResult run_on(const View& g, const RunContext& ctx) const {
+    using Hooks = typename View::Hooks;
     RunResult result;
     const std::size_t slots = g.slot_count();
 
@@ -88,11 +89,11 @@ class BcentrWorkload final : public Workload {
       std::uint64_t reached = 1;
       while (!eng.done()) {
         ++level;
-        auto push = [&](graph::SlotIndex us, engine::StepCtx& sc) {
-          trace::block(trace::kBlockWorkloadKernel);
+        auto push = [&](graph::SlotIndex us, auto& sc) {
+          Hooks::block(trace::kBlockWorkloadKernel);
           g.for_each_out(us, [&](graph::SlotIndex vs, double) {
             ++sc.edges;
-            trace::branch(trace::kBranchVisitedCheck, depth[vs] < 0);
+            Hooks::branch(trace::kBranchVisitedCheck, depth[vs] < 0);
             if (depth[vs] < 0) {
               depth[vs] = level;
               sc.emit(vs);
@@ -100,12 +101,12 @@ class BcentrWorkload final : public Workload {
           });
         };
         auto cand = [&](graph::SlotIndex vs) { return depth[vs] < 0; };
-        auto pull = [&](graph::SlotIndex vs, engine::StepCtx& sc) {
+        auto pull = [&](graph::SlotIndex vs, auto& sc) {
           bool found = false;
           g.for_each_in_until(vs, [&](graph::SlotIndex us) {
             ++sc.edges;
             const bool active = eng.in_frontier(us);
-            trace::branch(trace::kBranchVisitedCheck, active);
+            Hooks::branch(trace::kBranchVisitedCheck, active);
             if (active) {
               found = true;
               return false;
@@ -136,18 +137,18 @@ class BcentrWorkload final : public Workload {
       // in-neighbors one level up), level-ascending.
       for (std::size_t l = 1; l < levels.size(); ++l) {
         for (const graph::SlotIndex vs : levels[l]) {
-          trace::block(trace::kBlockWorkloadKernel);
+          Hooks::block(trace::kBlockWorkloadKernel);
           double count = 0.0;
           g.for_each_in(vs, [&](graph::SlotIndex us) {
-            trace::branch(trace::kBranchCompare,
+            Hooks::branch(trace::kBranchCompare,
                           depth[us] + 1 == depth[vs]);
             if (depth[us] + 1 == depth[vs]) {
               count += sigma[us];
-              trace::alu(1);
+              Hooks::alu(1);
             }
           });
           sigma[vs] = count;
-          trace::write(trace::MemKind::kMetadata, &sigma[vs],
+          Hooks::write(trace::MemKind::kMetadata, &sigma[vs],
                        sizeof(double));
         }
       }
@@ -155,16 +156,16 @@ class BcentrWorkload final : public Workload {
       // Pass 3: reverse accumulation of dependencies, level-descending.
       for (std::size_t l = levels.size(); l-- > 1;) {
         for (const graph::SlotIndex ws : levels[l]) {
-          trace::block(trace::kBlockWorkloadKernelAux);
+          Hooks::block(trace::kBlockWorkloadKernelAux);
           if (sigma[ws] <= 0.0) continue;
           g.for_each_in(ws, [&](graph::SlotIndex ps) {
-            trace::branch(trace::kBranchCompare,
+            Hooks::branch(trace::kBranchCompare,
                           depth[ps] == depth[ws] - 1);
             if (depth[ps] == depth[ws] - 1) {
               p.delta[ps] += sigma[ps] / sigma[ws] * (1.0 + p.delta[ws]);
-              trace::write(trace::MemKind::kMetadata, &p.delta[ps],
+              Hooks::write(trace::MemKind::kMetadata, &p.delta[ps],
                            sizeof(double));
-              trace::alu(3);
+              Hooks::alu(3);
             }
           });
         }

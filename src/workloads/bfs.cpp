@@ -33,6 +33,7 @@ class BfsWorkload final : public Workload {
  private:
   template <typename View>
   RunResult run_on(const View& g, const RunContext& ctx) const {
+    using Hooks = typename View::Hooks;
     RunResult result;
 
     const graph::SlotIndex root_slot = g.slot_of(ctx.root);
@@ -53,11 +54,11 @@ class BfsWorkload final : public Workload {
     while (!eng.done()) {
       ++depth;
 
-      auto push = [&](graph::SlotIndex u, engine::StepCtx& sc) {
+      auto push = [&](graph::SlotIndex u, auto& sc) {
         g.for_each_out(u, [&](graph::SlotIndex t, double) {
           ++sc.edges;
           const bool first = visited.test_and_set(t);
-          trace::branch(trace::kBranchVisitedCheck, first);
+          Hooks::branch(trace::kBranchVisitedCheck, first);
           if (first) {
             g.set_int(t, props::kDepth, depth);
             sc.emit(t);
@@ -65,12 +66,12 @@ class BfsWorkload final : public Workload {
         });
       };
       auto cand = [&](graph::SlotIndex v) { return !visited.test(v); };
-      auto pull = [&](graph::SlotIndex v, engine::StepCtx& sc) {
+      auto pull = [&](graph::SlotIndex v, auto& sc) {
         bool found = false;
         g.for_each_in_until(v, [&](graph::SlotIndex u) {
           ++sc.edges;
           const bool active = eng.in_frontier(u);
-          trace::branch(trace::kBranchVisitedCheck, active);
+          Hooks::branch(trace::kBranchVisitedCheck, active);
           if (active) {
             found = true;
             return false;  // stop at the first active parent

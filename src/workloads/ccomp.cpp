@@ -104,6 +104,7 @@ class CcompWorkload final : public Workload {
  private:
   template <typename View>
   RunResult run_on(const View& g, const RunContext& ctx) const {
+    using Hooks = typename View::Hooks;
     const std::size_t slots = g.slot_count();
 
     std::vector<std::atomic<graph::VertexId>> label(slots);
@@ -123,8 +124,8 @@ class CcompWorkload final : public Workload {
       // Push: scatter `mine` to each neighbor; the thread that lowers a
       // neighbor's label claims it for the next round (the round stamp
       // keeps each slot queued at most once per round).
-      auto push = [&](graph::SlotIndex s, engine::StepCtx& sc) {
-        trace::block(trace::kBlockWorkloadKernel);
+      auto push = [&](graph::SlotIndex s, auto& sc) {
+        Hooks::block(trace::kBlockWorkloadKernel);
         const graph::VertexId mine = label[s].load(std::memory_order_relaxed);
         auto relax = [&](graph::SlotIndex ns) {
           ++sc.edges;
@@ -137,7 +138,7 @@ class CcompWorkload final : public Workload {
               break;
             }
           }
-          trace::branch(trace::kBranchVisitedCheck, improved);
+          Hooks::branch(trace::kBranchVisitedCheck, improved);
           if (improved &&
               queued[ns].exchange(round, std::memory_order_relaxed) != round) {
             sc.emit(ns);
@@ -152,8 +153,8 @@ class CcompWorkload final : public Workload {
       // value — min-propagation is monotone — so convergence and the
       // fixed point are unaffected.
       auto cand = [&](graph::SlotIndex) { return true; };
-      auto pull = [&](graph::SlotIndex v, engine::StepCtx& sc) {
-        trace::block(trace::kBlockWorkloadKernel);
+      auto pull = [&](graph::SlotIndex v, auto& sc) {
+        Hooks::block(trace::kBlockWorkloadKernel);
         const graph::VertexId start = label[v].load(std::memory_order_relaxed);
         graph::VertexId best = start;
         auto gather = [&](graph::SlotIndex u) {
@@ -167,7 +168,7 @@ class CcompWorkload final : public Workload {
         g.for_each_in(v, [&](graph::SlotIndex ss) { gather(ss); });
         g.for_each_out(v, [&](graph::SlotIndex ts, double) { gather(ts); });
         const bool improved = best < start;
-        trace::branch(trace::kBranchVisitedCheck, improved);
+        Hooks::branch(trace::kBranchVisitedCheck, improved);
         if (improved) label[v].store(best, std::memory_order_relaxed);
         return improved;
       };

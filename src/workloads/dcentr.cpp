@@ -66,7 +66,8 @@ class DcentrWorkload final : public Workload {
   // pattern behind DCentr's suite-highest MPKI (145.9 in Figure 7).
   template <typename View>
   static std::int64_t degree_of(const View& g, graph::SlotIndex s) {
-    trace::block(trace::kBlockWorkloadKernel);
+    using Hooks = typename View::Hooks;
+    Hooks::block(trace::kBlockWorkloadKernel);
     std::int64_t deg = 0;
     g.for_each_out(s, [&](graph::SlotIndex, double) { ++deg; });
     g.for_each_in(s, [&](graph::SlotIndex) { ++deg; });

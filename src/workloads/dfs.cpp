@@ -27,6 +27,7 @@ class DfsWorkload final : public Workload {
  private:
   template <typename View>
   RunResult run_on(const View& g, const RunContext& ctx) const {
+    using Hooks = typename View::Hooks;
     RunResult result;
     const graph::SlotIndex root_slot = g.slot_of(ctx.root);
     if (root_slot == graph::kInvalidSlot) return result;
@@ -34,20 +35,20 @@ class DfsWorkload final : public Workload {
     std::vector<bool> visited(g.slot_count(), false);
     std::vector<graph::SlotIndex> stack;
     stack.push_back(root_slot);
-    trace::write(trace::MemKind::kMetadata, &stack.back(),
+    Hooks::write(trace::MemKind::kMetadata, &stack.back(),
                  sizeof(graph::SlotIndex));
 
     std::int64_t order = 0;
     std::uint64_t order_hash = 0;
 
     while (!stack.empty()) {
-      trace::block(trace::kBlockWorkloadKernel);
+      Hooks::block(trace::kBlockWorkloadKernel);
       const graph::SlotIndex slot = stack.back();
-      trace::read(trace::MemKind::kMetadata, &stack.back(),
+      Hooks::read(trace::MemKind::kMetadata, &stack.back(),
                   sizeof(graph::SlotIndex));
       stack.pop_back();
 
-      trace::branch(trace::kBranchVisitedCheck, visited[slot]);
+      Hooks::branch(trace::kBranchVisitedCheck, visited[slot]);
       if (visited[slot]) continue;
       visited[slot] = true;
 
@@ -62,7 +63,7 @@ class DfsWorkload final : public Workload {
         ++result.edges_processed;
         if (!visited[tslot]) {
           stack.push_back(tslot);
-          trace::write(trace::MemKind::kMetadata, &stack.back(),
+          Hooks::write(trace::MemKind::kMetadata, &stack.back(),
                        sizeof(graph::SlotIndex));
         }
       });

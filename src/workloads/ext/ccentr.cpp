@@ -33,6 +33,7 @@ class CcentrWorkload final : public Workload {
  private:
   template <typename View>
   RunResult run_on(const View& g, const RunContext& ctx) const {
+    using Hooks = typename View::Hooks;
     RunResult result;
     const std::size_t slots = g.slot_count();
 
@@ -74,7 +75,7 @@ class CcentrWorkload final : public Workload {
       double total_dist = 0.0;
       std::uint64_t reached = 0;
       while (!heap.empty()) {
-        trace::block(trace::kBlockWorkloadKernel);
+        Hooks::block(trace::kBlockWorkloadKernel);
         const auto [d, slot] = heap.top();
         heap.pop();
         if (settled[slot]) continue;
@@ -86,10 +87,10 @@ class CcentrWorkload final : public Workload {
         g.for_each_out(slot, [&](graph::SlotIndex ts, double w) {
           ++p.edges;
           const double candidate = d + w;
-          trace::alu(2);
+          Hooks::alu(2);
           if (candidate < dist[ts]) {
             dist[ts] = candidate;
-            trace::write(trace::MemKind::kMetadata, &dist[ts],
+            Hooks::write(trace::MemKind::kMetadata, &dist[ts],
                          sizeof(double));
             heap.emplace(candidate, ts);
           }

@@ -36,6 +36,7 @@ class RwrWorkload final : public Workload {
  private:
   template <typename View>
   RunResult run_on(const View& g, const RunContext& ctx) const {
+    using Hooks = typename View::Hooks;
     RunResult result;
     const std::size_t slots = g.slot_count();
     const graph::SlotIndex root_slot = g.slot_of(ctx.root);
@@ -78,7 +79,7 @@ class RwrWorkload final : public Workload {
             double local = 0.0;
             for (std::size_t s = lo; s < hi; ++s) {
               const double mass = score[s];
-              trace::read(trace::MemKind::kMetadata, &score[s],
+              Hooks::read(trace::MemKind::kMetadata, &score[s],
                           sizeof(double));
               if (mass == 0.0) {
                 share[s] = 0.0;
@@ -88,7 +89,7 @@ class RwrWorkload final : public Workload {
               } else {
                 share[s] = (1.0 - kRestart) * mass /
                            static_cast<double>(out_degree[s]);
-                trace::alu(2);
+                Hooks::alu(2);
               }
             }
             return local;
@@ -101,16 +102,16 @@ class RwrWorkload final : public Workload {
           [&](std::size_t lo, std::size_t hi) {
             std::uint64_t pulled = 0;
             for (std::size_t s = lo; s < hi; ++s) {
-              trace::block(trace::kBlockWorkloadKernel);
+              Hooks::block(trace::kBlockWorkloadKernel);
               double acc = 0.0;
               for (std::size_t i = in_offset[s]; i < in_offset[s + 1];
                    ++i) {
                 acc += share[in_source[i]];
-                trace::alu(1);
+                Hooks::alu(1);
                 ++pulled;
               }
               next[s] = acc;
-              trace::write(trace::MemKind::kMetadata, &next[s],
+              Hooks::write(trace::MemKind::kMetadata, &next[s],
                            sizeof(double));
             }
             return pulled;

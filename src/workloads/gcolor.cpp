@@ -28,6 +28,7 @@ class GcolorWorkload final : public Workload {
  private:
   template <typename View>
   RunResult run_on(const View& g, const RunContext& ctx) const {
+    using Hooks = typename View::Hooks;
     RunResult result;
     const std::size_t slots = g.slot_count();
 
@@ -58,11 +59,11 @@ class GcolorWorkload final : public Workload {
     auto plus = [](std::uint64_t a, std::uint64_t b) { return a + b; };
     while (!eng.done()) {
       auto decide = [&](graph::SlotIndex s, std::uint64_t& edges) -> bool {
-        trace::block(trace::kBlockWorkloadKernel);
+        Hooks::block(trace::kBlockWorkloadKernel);
         bool is_local_max = true;
         auto check = [&](graph::SlotIndex ns) {
           ++edges;
-          trace::read(trace::MemKind::kMetadata, &priority[ns],
+          Hooks::read(trace::MemKind::kMetadata, &priority[ns],
                       sizeof(std::uint64_t));
           // Heavier per-edge work than plain traversal: compare priority
           // and color state. Compilers turn this min/max-style winner
@@ -72,7 +73,7 @@ class GcolorWorkload final : public Workload {
               color[ns] < 0 &&
               (priority[ns] > priority[s] ||
                (priority[ns] == priority[s] && ns > s));
-          trace::alu(4);
+          Hooks::alu(4);
           if (neighbor_wins) is_local_max = false;
         };
         g.for_each_out(s,

@@ -37,6 +37,7 @@ class KcoreWorkload final : public Workload {
  private:
   template <typename View>
   RunResult run_sequential(const View& g) const {
+    using Hooks = typename View::Hooks;
     RunResult result;
     const std::size_t slots = g.slot_count();
 
@@ -46,7 +47,7 @@ class KcoreWorkload final : public Workload {
     std::size_t live = 0;
     g.for_each_live_slot([&](graph::SlotIndex s) {
       degree[s] = static_cast<std::uint32_t>(g.undirected_degree(s));
-      trace::write(trace::MemKind::kMetadata, &degree[s],
+      Hooks::write(trace::MemKind::kMetadata, &degree[s],
                    sizeof(std::uint32_t));
       max_degree = std::max<std::size_t>(max_degree, degree[s]);
       ++live;
@@ -71,10 +72,10 @@ class KcoreWorkload final : public Workload {
       if (bucket_idx >= buckets.size()) break;
       const graph::SlotIndex s = buckets[bucket_idx].back();
       buckets[bucket_idx].pop_back();
-      trace::read(trace::MemKind::kMetadata, &s, sizeof(s));
+      Hooks::read(trace::MemKind::kMetadata, &s, sizeof(s));
       if (removed[s] || degree[s] != bucket_idx) continue;  // stale entry
 
-      trace::block(trace::kBlockWorkloadKernel);
+      Hooks::block(trace::kBlockWorkloadKernel);
       removed[s] = 1;
       current_core =
           std::max(current_core, static_cast<std::uint32_t>(bucket_idx));
@@ -83,10 +84,10 @@ class KcoreWorkload final : public Workload {
 
       auto relax = [&](graph::SlotIndex ns) {
         ++result.edges_processed;
-        trace::read(trace::MemKind::kMetadata, &removed[ns], 1);
+        Hooks::read(trace::MemKind::kMetadata, &removed[ns], 1);
         if (removed[ns] || degree[ns] == 0) return;
         --degree[ns];
-        trace::write(trace::MemKind::kMetadata, &degree[ns],
+        Hooks::write(trace::MemKind::kMetadata, &degree[ns],
                      sizeof(std::uint32_t));
         buckets[degree[ns]].push_back(ns);
         if (degree[ns] < bucket_idx) bucket_idx = degree[ns];
@@ -150,7 +151,7 @@ class KcoreWorkload final : public Workload {
     // Peeling is inherently a scatter (strip a vertex, decrement its
     // neighbors), so sub-rounds run as push-only supersteps: the unique
     // decrementer that observes degree k+1 emits the neighbor.
-    auto push = [&](graph::SlotIndex s, engine::StepCtx& sc) {
+    auto push = [&](graph::SlotIndex s, auto& sc) {
       removed[s].store(1, std::memory_order_relaxed);
       core[s] = k;
       auto relax = [&](graph::SlotIndex ns) {

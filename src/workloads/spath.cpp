@@ -60,6 +60,7 @@ class SpathWorkload final : public Workload {
 
   template <typename View>
   RunResult run_sequential(const View& g, const RunContext& ctx) const {
+    using Hooks = typename View::Hooks;
     RunResult result;
 
     const graph::SlotIndex root_slot = g.slot_of(ctx.root);
@@ -77,13 +78,13 @@ class SpathWorkload final : public Workload {
     heap.emplace(0.0, root_slot);
 
     while (!heap.empty()) {
-      trace::block(trace::kBlockWorkloadKernel);
+      Hooks::block(trace::kBlockWorkloadKernel);
       const auto [d, slot] = heap.top();
-      trace::read(trace::MemKind::kMetadata, &heap.top(),
+      Hooks::read(trace::MemKind::kMetadata, &heap.top(),
                   sizeof(HeapEntry));
       heap.pop();
 
-      trace::branch(trace::kBranchVisitedCheck, settled[slot]);
+      Hooks::branch(trace::kBranchVisitedCheck, settled[slot]);
       if (settled[slot]) continue;
       settled[slot] = true;
       ++result.vertices_processed;
@@ -91,13 +92,13 @@ class SpathWorkload final : public Workload {
       g.for_each_out(slot, [&](graph::SlotIndex ts, double w) {
         ++result.edges_processed;
         const double candidate = d + w;
-        trace::branch(trace::kBranchCompare, candidate < dist[ts]);
-        trace::alu(2);
+        Hooks::branch(trace::kBranchCompare, candidate < dist[ts]);
+        Hooks::alu(2);
         if (candidate < dist[ts]) {
           dist[ts] = candidate;
           g.set_double(ts, props::kDistance, candidate);
           heap.emplace(candidate, ts);
-          trace::write(trace::MemKind::kMetadata, &heap.top(),
+          Hooks::write(trace::MemKind::kMetadata, &heap.top(),
                        sizeof(HeapEntry));
         }
       });
@@ -109,6 +110,7 @@ class SpathWorkload final : public Workload {
 
   template <typename View>
   RunResult run_parallel(const View& g, const RunContext& ctx) const {
+    using Hooks = typename View::Hooks;
     platform::ThreadPool& pool = *ctx.pool;
     RunResult result;
 
@@ -216,7 +218,7 @@ class SpathWorkload final : public Workload {
       Partial merged = eng.process(
           Partial{},
           [&](graph::SlotIndex s, Partial& p) {
-            trace::block(trace::kBlockWorkloadKernel);
+            Hooks::block(trace::kBlockWorkloadKernel);
             done[s].store(1, std::memory_order_relaxed);
             const double d = dist[s].load(std::memory_order_relaxed);
             g.for_each_out(s, [&](graph::SlotIndex ts, double w) {
@@ -231,12 +233,12 @@ class SpathWorkload final : public Workload {
                   break;
                 }
               }
-              trace::branch(trace::kBranchCompare, lowered);
+              Hooks::branch(trace::kBranchCompare, lowered);
               if (lowered) {
                 done[ts].store(0, std::memory_order_relaxed);
                 if (queued[ts].exchange(1, std::memory_order_relaxed) == 0) {
                   p.pushes.emplace_back(bucket_of(candidate), ts);
-                  trace::write(trace::MemKind::kMetadata, &p.pushes.back(),
+                  Hooks::write(trace::MemKind::kMetadata, &p.pushes.back(),
                                sizeof(p.pushes.back()));
                 }
               }

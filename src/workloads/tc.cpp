@@ -29,6 +29,7 @@ class TcWorkload final : public Workload {
  private:
   template <typename View>
   RunResult run_on(const View& g, const RunContext& ctx) const {
+    using Hooks = typename View::Hooks;
     RunResult result;
     const std::size_t slots = g.slot_count();
 
@@ -55,7 +56,7 @@ class TcWorkload final : public Workload {
     std::vector<std::uint64_t> per_vertex(slots, 0);
 
     auto count_vertex = [&](graph::SlotIndex u) {
-      trace::block(trace::kBlockWorkloadKernel);
+      Hooks::block(trace::kBlockWorkloadKernel);
       std::uint64_t local = 0;
       const auto& fu = forward[u];
       for (const auto v : fu) {
@@ -63,34 +64,34 @@ class TcWorkload final : public Workload {
         // Sorted merge intersection; every comparison is a data-dependent
         // branch (the TC signature).
         std::size_t i = 0, j = 0;
-        trace::block(trace::kBlockWorkloadKernelAux);
+        Hooks::block(trace::kBlockWorkloadKernelAux);
         // Merge intersection. Only the freshly advanced element needs a
         // load; the other side stays in a register.
-        trace::read(trace::MemKind::kProperty, fu.data(),
+        Hooks::read(trace::MemKind::kProperty, fu.data(),
                     sizeof(graph::SlotIndex));
-        trace::read(trace::MemKind::kProperty, fv.data(),
+        Hooks::read(trace::MemKind::kProperty, fv.data(),
                     sizeof(graph::SlotIndex));
         while (i < fu.size() && j < fv.size()) {
           const bool less = fu[i] < fv[j];
-          trace::branch(trace::kBranchCompare, less);
+          Hooks::branch(trace::kBranchCompare, less);
           if (fu[i] == fv[j]) {
             ++local;
             ++i;
             ++j;
-            trace::read(trace::MemKind::kProperty, &fu[i - 1],
+            Hooks::read(trace::MemKind::kProperty, &fu[i - 1],
                         sizeof(graph::SlotIndex));
           } else if (less) {
             ++i;
-            trace::read(trace::MemKind::kProperty, &fu[i - 1],
+            Hooks::read(trace::MemKind::kProperty, &fu[i - 1],
                         sizeof(graph::SlotIndex));
           } else {
             ++j;
-            trace::read(trace::MemKind::kProperty, &fv[j - 1],
+            Hooks::read(trace::MemKind::kProperty, &fv[j - 1],
                         sizeof(graph::SlotIndex));
           }
           // ~5 further instructions per merge step: advance, bounds
           // checks, match accumulate (matches the compiled inner loop).
-          trace::alu(5);
+          Hooks::alu(5);
         }
       }
       per_vertex[u] = local;

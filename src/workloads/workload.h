@@ -16,6 +16,7 @@
 #include "graph/property_graph.h"
 #include "graph/snapshot.h"
 #include "platform/thread_pool.h"
+#include "trace/access.h"
 
 namespace graphbig::workloads {
 
@@ -81,16 +82,14 @@ struct RunContext {
 
   /// The traversal view the analytic workloads run against: the disk
   /// backend when present, else the frozen snapshot, else the dynamic
-  /// graph. Workloads visit it once at entry:
+  /// graph. A frozen view is traced only when the calling thread has a
+  /// trace sink installed (profiled runs); every other run gets the
+  /// untraced instantiation, whose hooks are compiled out. Workloads visit
+  /// it once at entry:
   ///   ctx.view().visit([&](const auto& g) { ... });
   graph::GraphView view() const {
-    if (disk != nullptr) {
-      return graph::GraphView(graph::DiskView(*disk, columns));
-    }
-    if (snapshot != nullptr) {
-      return graph::GraphView(graph::SnapshotView(*snapshot, columns));
-    }
-    return graph::GraphView(graph::DynamicView(*graph));
+    return trace::enabled() ? view_with<trace::Traced>()
+                            : view_with<trace::Untraced>();
   }
 
   /// Frontier-engine options for the level-synchronous workloads: the
@@ -111,6 +110,21 @@ struct RunContext {
   /// GibbsInf: sweep counts.
   int gibbs_burn_in = 10;
   int gibbs_samples = 40;
+
+ private:
+  template <typename Tracing>
+  graph::GraphView view_with() const {
+    if (disk != nullptr) {
+      return graph::GraphView(
+          graph::FrozenView<graph::DiskGraph, Tracing>(*disk, columns));
+    }
+    if (snapshot != nullptr) {
+      return graph::GraphView(
+          graph::FrozenView<graph::GraphSnapshot, Tracing>(*snapshot,
+                                                           columns));
+    }
+    return graph::GraphView(graph::DynamicView(*graph));
+  }
 };
 
 /// Outputs: a workload-defined checksum for validation plus work counters.

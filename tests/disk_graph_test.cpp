@@ -196,8 +196,12 @@ TEST(DiskGraph, RunContextViewPrefersDiskThenSnapshot) {
   auto picked = [&] {
     return ctx.view().visit([](const auto& view) -> std::string {
       using View = std::decay_t<decltype(view)>;
-      if constexpr (std::is_same_v<View, graph::DiskView>) return "disk";
-      if constexpr (std::is_same_v<View, graph::SnapshotView>) {
+      if constexpr (std::is_same_v<View, graph::DiskView> ||
+                    std::is_same_v<View, graph::UntracedDiskView>) {
+        return "disk";
+      }
+      if constexpr (std::is_same_v<View, graph::SnapshotView> ||
+                    std::is_same_v<View, graph::UntracedSnapshotView>) {
         return "frozen";
       }
       return "dynamic";
@@ -410,6 +414,27 @@ TEST(DiskHarness, SnapshotBundleSkipsDatagenAndMatchesOrigin) {
       harness::RefreshMode::kFull, {}, {}, dopts);
   EXPECT_EQ(from_full.run.checksum, base.run.checksum);
   EXPECT_EQ(from_disk.run.checksum, base.run.checksum);
+}
+
+// A snapshot-sourced bundle carries the file's layout, whichever way it
+// was loaded: graphbig_run reports it instead of its --layout/--compress
+// defaults.
+TEST(DiskHarness, SnapshotBundleCarriesTheFilesLayout) {
+  PropertyGraph g = make_graph();
+  graph::LayoutOptions layout;
+  layout.order = graph::VertexOrder::kDegree;
+  layout.compress = true;
+  ScopedFile file("diskgraph_bundle_layout.snap");
+  graph::snap::save_snapshot(GraphSnapshot::freeze(g, layout), file.path);
+
+  for (const harness::SnapshotLoadMode mode :
+       {harness::SnapshotLoadMode::kFull,
+        harness::SnapshotLoadMode::kDiskOnly}) {
+    const harness::DatasetBundle bundle =
+        harness::load_bundle_from_snapshot(file.path, mode);
+    EXPECT_EQ(bundle.snapshot_layout.order, graph::VertexOrder::kDegree);
+    EXPECT_TRUE(bundle.snapshot_layout.compress);
+  }
 }
 
 TEST(DiskHarness, TimedRunDiskBackendMatchesFrozen) {

@@ -113,7 +113,7 @@ TEST(FrontierEngine, PushPullAutoComputeIdenticalBfsDepths) {
     std::int32_t level = 0;
     while (!eng.done()) {
       ++level;
-      auto push = [&](SlotIndex u, engine::StepCtx& sc) {
+      auto push = [&](SlotIndex u, auto& sc) {
         gv.for_each_out(u, [&](SlotIndex v, double) {
           ++sc.edges;
           if (depth[v] < 0) {
@@ -123,7 +123,7 @@ TEST(FrontierEngine, PushPullAutoComputeIdenticalBfsDepths) {
         });
       };
       auto cand = [&](SlotIndex v) { return depth[v] < 0; };
-      auto pull = [&](SlotIndex v, engine::StepCtx& sc) {
+      auto pull = [&](SlotIndex v, auto& sc) {
         bool found = false;
         gv.for_each_in_until(v, [&](SlotIndex u) {
           ++sc.edges;

@@ -23,12 +23,15 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <unistd.h>
 #include <vector>
 
 #include "datagen/edge_list.h"
 #include "datagen/generators.h"
+#include "engine/frontier_engine.h"
 #include "graph/disk_graph.h"
+#include "graph/graph_view.h"
 #include "graph/snap_format.h"
 #include "graph/snapshot.h"
 #include "harness/experiment.h"
@@ -199,6 +202,149 @@ TEST(ReferenceTraceCounts, PushSequentialHooksMatchGoldenPerBackend) {
     }
   }
   EXPECT_EQ(checked, std::size(kGolden));
+}
+
+// ---- the tracing policy rides on the view type ----
+
+// RunContext::view() hands out the traced frozen alternative exactly when
+// the calling thread has a sink installed; the dynamic view is always
+// traced (runtime-checked), and the disk > snapshot > graph pick is the
+// same under either policy.
+TEST(TracePolicy, RunContextViewIsTracedIffSinkInstalled) {
+  datagen::RmatConfig cfg;
+  cfg.scale = 6;
+  cfg.seed = 3;
+  graph::PropertyGraph graph = make_graph(datagen::generate_rmat(cfg));
+  const graph::GraphSnapshot snapshot = graph::GraphSnapshot::freeze(graph);
+  const std::string snap_path =
+      ".graphbig-trace-policy-" + std::to_string(::getpid()) + ".snap";
+  graph::snap::save_snapshot(snapshot, snap_path);
+  const graph::DiskGraph disk(snap_path);
+  std::remove(snap_path.c_str());
+
+  workloads::RunContext ctx;
+  ctx.graph = &graph;
+  ctx.snapshot = &snapshot;
+  ctx.disk = &disk;
+  // "<backend>/<traced|untraced>" of the view ctx.view() holds.
+  auto picked = [&] {
+    return ctx.view().visit([](const auto& view) -> std::string {
+      using View = std::decay_t<decltype(view)>;
+      const std::string tracing =
+          std::is_same_v<typename View::Hooks, trace::Traced> ? "/traced"
+                                                              : "/untraced";
+      if constexpr (std::is_same_v<View, graph::DiskView> ||
+                    std::is_same_v<View, graph::UntracedDiskView>) {
+        return "disk" + tracing;
+      }
+      if constexpr (std::is_same_v<View, graph::SnapshotView> ||
+                    std::is_same_v<View, graph::UntracedSnapshotView>) {
+        return "frozen" + tracing;
+      }
+      return "dynamic" + tracing;
+    });
+  };
+  auto both = [&] {
+    std::string untraced = picked();
+    trace::CountingSink sink;
+    trace::ScopedSink scoped(&sink);
+    return untraced + " " + picked();
+  };
+
+  EXPECT_EQ(both(), "disk/untraced disk/traced");
+  ctx.disk = nullptr;
+  EXPECT_EQ(both(), "frozen/untraced frozen/traced");
+  ctx.snapshot = nullptr;
+  EXPECT_EQ(both(), "dynamic/traced dynamic/traced");
+  EXPECT_FALSE(trace::enabled());
+}
+
+// Walks every row of a view in every way the kernels do — run-to-end and
+// early-terminating, out and in — and drives one frontier-engine push
+// step that emits every live slot.
+template <typename View>
+std::uint64_t walk_everything(const View& view) {
+  std::uint64_t edges = 0;
+  view.for_each_live_slot([&](graph::SlotIndex s) {
+    view.for_each_out(s, [&](graph::SlotIndex, double) { ++edges; });
+    view.for_each_in(s, [&](graph::SlotIndex) { ++edges; });
+    view.for_each_out_until(s, [&](graph::SlotIndex, double) {
+      ++edges;
+      return true;
+    });
+    view.for_each_in_until(s, [&](graph::SlotIndex) {
+      ++edges;
+      return true;
+    });
+  });
+  engine::FrontierEngine eng(view, nullptr);
+  eng.activate_all_live();
+  edges += eng.step([&](graph::SlotIndex s, auto& sc) {
+                view.for_each_out(s, [&](graph::SlotIndex, double) {
+                  ++sc.edges;
+                });
+                sc.emit(s);
+              }).edges;
+  return edges;
+}
+
+// An untraced frozen view records nothing even with a sink installed, on
+// both stores and on raw and compressed rows; the traced view of the same
+// store, walked the same way under the same kind of sink, does record
+// (so the zero is not vacuous).
+TEST(TracePolicy, UntracedFrozenViewsEmitNoEventsUnderASink) {
+  datagen::RmatConfig cfg;
+  cfg.scale = 7;
+  cfg.seed = 11;
+  const graph::PropertyGraph graph = make_graph(datagen::generate_rmat(cfg));
+  graph::LayoutOptions compressed;
+  compressed.order = graph::VertexOrder::kDegree;
+  compressed.compress = true;
+
+  for (const graph::LayoutOptions& layout :
+       {graph::LayoutOptions{}, compressed}) {
+    SCOPED_TRACE(layout.compress ? "degree+compress" : "natural");
+    const graph::GraphSnapshot snapshot =
+        graph::GraphSnapshot::freeze(graph, layout);
+    const std::string snap_path =
+        ".graphbig-trace-untraced-" + std::to_string(::getpid()) + ".snap";
+    graph::snap::save_snapshot(snapshot, snap_path);
+    graph::DiskGraphOptions dopts;
+    dopts.pool_pages = 4;
+    dopts.page_bytes = 4096;
+    const graph::DiskGraph disk(snap_path, dopts);
+    std::remove(snap_path.c_str());
+
+    auto events = [](const trace::CountingSink& sink) {
+      const Counts c = counts_of(sink);
+      std::uint64_t n = 0;
+      for (std::size_t i = 0; i < c.size(); ++i) n += c[i];
+      return n;
+    };
+    auto check = [&](const auto& untraced, const auto& traced,
+                     const char* store) {
+      SCOPED_TRACE(store);
+      trace::CountingSink quiet;
+      std::uint64_t untraced_edges = 0;
+      {
+        trace::ScopedSink scoped(&quiet);
+        untraced_edges = walk_everything(untraced);
+      }
+      trace::CountingSink loud;
+      std::uint64_t traced_edges = 0;
+      {
+        trace::ScopedSink scoped(&loud);
+        traced_edges = walk_everything(traced);
+      }
+      EXPECT_GT(untraced_edges, 0u);
+      EXPECT_EQ(untraced_edges, traced_edges);
+      EXPECT_EQ(events(quiet), 0u);
+      EXPECT_GT(events(loud), 0u);
+    };
+    check(graph::UntracedSnapshotView(snapshot),
+          graph::SnapshotView(snapshot), "snapshot");
+    check(graph::UntracedDiskView(disk), graph::DiskView(disk), "disk");
+  }
 }
 
 }  // namespace

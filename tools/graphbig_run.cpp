@@ -356,6 +356,9 @@ int main(int argc, char** argv) {
               << bundle.snapshot_checksum << "]\n";
     dataset = "snapshot";
     scale_name = "-";
+    // The file fixes the layout: report what is traversed, not the
+    // --layout/--compress defaults.
+    layout = bundle.snapshot_layout;
   } else {
     std::cout << "loading dataset '" << dataset << "'...\n";
     bundle = harness::load_bundle(id, scale);
